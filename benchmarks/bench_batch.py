@@ -129,7 +129,7 @@ def bench_american_grid(n_cells: int, steps: int, repeats: int) -> dict:
         "batch_wall_s": batch_wall,
         "batch_speedup": serial_wall / batch_wall,
         "max_rel_diff": max_rel,
-        "batch_rounds": info["batch_advances"],
+        "batch_rounds": info["advances"],
         "batched_rows": info["batched_inputs"],
         # Python-level transform calls: one per lockstep round vs one per
         # cell-advance — the consolidation advance_batch buys
@@ -180,7 +180,7 @@ def bench_european_grid(n_cells: int, steps: int, repeats: int) -> dict:
         "batch_wall_s": batch_wall,
         "batch_speedup": serial_wall / batch_wall,
         "max_rel_diff": max_rel,
-        "batch_rounds": info["batch_advances"],
+        "batch_rounds": info["advances"],
     }
 
 
@@ -244,7 +244,7 @@ def bench_ladder(n_quotes: int, steps: int, repeats: int) -> dict:
         "lockstep_solves_per_quote": lockstep_report.solves / n_quotes,
         "warm_start_solves_per_quote": warm_report.solves / n_quotes,
         "max_abs_vol_diff_vs_serial": max_vol_diff,
-        "batch_rounds": info["batch_advances"],
+        "batch_rounds": info["advances"],
     }
 
 

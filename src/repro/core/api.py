@@ -389,9 +389,8 @@ def _batch_european_tree_fft(
     *own* lattice kernel in a single
     :meth:`~repro.core.fftstencil.AdvanceEngine.advance_batch` call — a
     scenario grid that varies volatility/rate per cell batches exactly as
-    well as a strike strip on one underlying (which used to be the only
-    batched case, via the same-kernel ``advance_many`` path).  Per-row
-    records keep each contract's method/spectrum accounting truthful.
+    well as a strike strip on one underlying.  Per-row records keep each
+    contract's method/spectrum accounting truthful.
     """
     cls = BinomialParams if model == "binomial" else TrinomialParams
     params_list = [

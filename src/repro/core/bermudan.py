@@ -22,12 +22,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from repro.core.fftstencil import DEFAULT_POLICY, AdvanceEngine, AdvancePolicy
-from repro.core.lockstep import (
-    AdvanceRequest,
-    BaseRowRequest,
-    drive_lockstep,
-    drive_serial,
-)
+from repro.core.lockstep import AdvanceRequest, BaseRowRequest, drive_lockstep
 from repro.core.metrics import SolveStats
 from repro.core.tree_solver import TreeFFTResult
 from repro.options.contract import Right
@@ -75,11 +70,12 @@ def _bermudan_gen(params: TreeParams, rows: list[int], batch_base: bool = False)
     """Generator body of one Bermudan/European jump-chain solve.
 
     Yields :class:`~repro.core.lockstep.AdvanceRequest` for the checkpoint
-    jumps; with ``batch_base=True`` the exercise-date max rows are yielded
-    as identity-stencil :class:`~repro.core.lockstep.BaseRowRequest`
-    (``keep="max"``, no divider scan) so B lockstep contracts take their
-    vectorised max in one stacked engine call per exercise round.  Serial
-    mode applies the max inline — the exact pre-generator call sequence.
+    jumps; with ``batch_base=True`` (a batch of B > 1 contracts) the
+    exercise-date max rows are yielded as identity-stencil
+    :class:`~repro.core.lockstep.BaseRowRequest` (``keep="max"``, no
+    divider scan) so the B contracts take their vectorised max in one
+    stacked engine call per exercise round.  A lone contract applies the
+    max inline.
     """
     T = params.steps
     spec = params.spec
@@ -151,13 +147,9 @@ def price_tree_bermudan_fft(
     of strikes); the checkpoint gap heights are known up front and are
     prepared on entry.
     """
-    T = params.steps
-    q = len(params.taps) - 1
-    rows = _validated_rows(T, exercise_steps)
-    if engine is None:
-        engine = AdvanceEngine(policy)
-    engine.prepare(params.taps, _jump_jobs(T, q, _checkpoints(rows)))
-    return drive_serial(_bermudan_gen(params, rows), engine)
+    return price_tree_bermudan_fft_batch(
+        [params], [exercise_steps], policy=policy, engine=engine
+    )[0]
 
 
 def price_tree_bermudan_fft_batch(
@@ -172,8 +164,8 @@ def price_tree_bermudan_fft_batch(
     ``exercise_steps`` is either one schedule shared by every contract or a
     per-contract sequence of schedules (one entry per ``params_list``
     element).  Checkpoint jumps batch through
-    :meth:`~repro.core.fftstencil.AdvanceEngine.advance_batch` and the
-    exercise-date max rows through
+    :meth:`~repro.core.fftstencil.AdvanceEngine.advance_batch` and, for
+    B > 1, the exercise-date max rows through
     :meth:`~repro.core.fftstencil.AdvanceEngine.base_rows_batch`; every
     result is bit-identical to its ``price_tree_bermudan_fft`` twin.
     """
@@ -189,12 +181,13 @@ def price_tree_bermudan_fft_batch(
         schedules = [es] * len(params_list)
     if engine is None:
         engine = AdvanceEngine(policy)
+    batch_base = len(params_list) > 1
     gens = []
     for params, sched in zip(params_list, schedules):
         rows = _validated_rows(params.steps, sched)
         q = len(params.taps) - 1
         engine.prepare(params.taps, _jump_jobs(params.steps, q, _checkpoints(rows)))
-        gens.append(_bermudan_gen(params, rows, batch_base=True))
+        gens.append(_bermudan_gen(params, rows, batch_base))
     results: list[TreeFFTResult] = drive_lockstep(gens, engine)
     for result in results:
         result.meta["batched"] = True

@@ -37,12 +37,7 @@ from repro.core.fftstencil import (
     engine_delta as _engine_delta,
     row_correlate,
 )
-from repro.core.lockstep import (
-    AdvanceRequest,
-    BaseRowRequest,
-    drive_lockstep,
-    drive_serial,
-)
+from repro.core.lockstep import AdvanceRequest, BaseRowRequest, drive_lockstep
 from repro.core.metrics import SolveStats
 from repro.options.params import BSMGridParams
 from repro.parallel.workspan import WorkSpan, rows_cost
@@ -67,20 +62,19 @@ class BSMFFTResult:
 class _BSMSolver:
     """One fft-bsm solve's state; :meth:`advance` is a generator that
     yields :class:`~repro.core.lockstep.AdvanceRequest` for its linear
-    jumps (docs/DESIGN.md §7) — serviced serially or in lockstep."""
+    jumps (docs/DESIGN.md §7) — and, with ``batch_base=True`` (a batch of
+    B > 1 solves), each naive row."""
 
     def __init__(
         self,
         params: BSMGridParams,
         base: int,
-        engine: Optional[AdvanceEngine],
         recorder: Optional[BoundaryRecorder],
         batch_base: bool = False,
     ):
         self.p = params
         self.taps = tuple(params.taps)  # (coef_down, coef_mid, coef_up)
         self.base = base
-        self.engine = engine
         self.stats = SolveStats()
         self.rec = recorder
         # Per-solve payoff table: the cone only reaches k in [-T, T], so
@@ -122,8 +116,8 @@ class _BSMSolver:
         """``h`` max-rule rows over the shrinking cone window (base case).
 
         A generator returning ``(values, f, workspan)`` via
-        ``StopIteration``.  Serial solvers run every row inline (no
-        yields); lockstep solvers yield each row as a
+        ``StopIteration``.  A lone solve runs every row inline (no
+        yields); a batched solve yields each row as a
         :class:`BaseRowRequest` so the driver batches the B live rows —
         bit-identical either way.
         """
@@ -251,7 +245,7 @@ def _bsm_solve_gen(
     ``meta["engine"]`` delta) via ``StopIteration``.
     """
     T = params.steps
-    solver = _BSMSolver(params, base, None, recorder, batch_base)
+    solver = _BSMSolver(params, base, recorder, batch_base)
 
     pay0 = solver.payoff(-T, T)
     vals = np.maximum(pay0, 0.0)
@@ -316,14 +310,10 @@ def solve_bsm_fft(
     carries the kernel-spectrum plan cache; share one across solves with
     identical grid coefficients to amortise the kernel transforms further.
     """
-    base = check_integer("base", base, minimum=1)
-    recorder = BoundaryRecorder() if record_boundary else None
-    if engine is None:
-        engine = AdvanceEngine(policy)
-    engine_before = engine.cache_info()
-    result = drive_serial(_bsm_solve_gen(params, base, recorder), engine)
-    result.meta["engine"] = _engine_delta(engine_before, engine.cache_info())
-    return result
+    return solve_bsm_fft_batch(
+        [params], base=base, policy=policy, engine=engine,
+        record_boundary=record_boundary,
+    )[0]
 
 
 def solve_bsm_fft_batch(
@@ -340,8 +330,10 @@ def solve_bsm_fft_batch(
     :func:`~repro.core.tree_solver.solve_tree_fft_batch`: each grid runs
     its own cone recursion as a generator, and every round's outstanding
     linear jumps are serviced by one
-    :meth:`~repro.core.fftstencil.AdvanceEngine.advance_batch` call.  Each
-    result is bit-identical to ``solve_bsm_fft(params_list[i])``;
+    :meth:`~repro.core.fftstencil.AdvanceEngine.advance_batch` call (and,
+    for B > 1, its naive rows by one
+    :meth:`~repro.core.fftstencil.AdvanceEngine.base_rows_batch` call).
+    Each result is bit-identical to ``solve_bsm_fft(params_list[i])``;
     ``meta["engine"]`` carries the batch-wide engine delta and
     ``meta["batched"]``/``meta["batch_size"]`` the lockstep provenance.
     """
@@ -349,12 +341,13 @@ def solve_bsm_fft_batch(
     if engine is None:
         engine = AdvanceEngine(policy)
     engine_before = engine.cache_info()
+    batch_base = len(params_list) > 1
     gens = [
         _bsm_solve_gen(
             params,
             base,
             BoundaryRecorder() if record_boundary else None,
-            batch_base=True,
+            batch_base,
         )
         for params in params_list
     ]

@@ -17,15 +17,16 @@ kernel's forward transform across reuses (as [1] does): it caches the
 *conjugated rFFT of the kernel* keyed by ``(taps, h, padded_n)``, memoises
 ``next_fast_len`` pad sizes, and reuses zero-padded scratch buffers.  A warm
 advance is then one forward rFFT of ``x``, one pointwise multiply, one
-inverse — versus ``fftconvolve``'s three transforms of a larger padded
-length plus a reversed-kernel copy.  :meth:`AdvanceEngine.advance_many`
-additionally stacks same-kernel advances into one batched
-``scipy.fft.rfft(axis=-1)`` call for portfolio workloads, and
-:meth:`AdvanceEngine.advance_batch` generalises that to B inputs with B
-*different* kernels — the lockstep batch solver's workhorse
-(docs/DESIGN.md §7): rows group by padded length, multiply row-wise by a
-cached stacked kernel-spectrum block, and transform in one batched pair,
-with per-row robustness decisions and per-row accounting.
+inverse — versus a stateless FFT convolution's three transforms of a larger
+padded length plus a reversed-kernel copy.
+
+:meth:`AdvanceEngine.advance_batch` is the one linear-advance entry point:
+B inputs, each with its own kernel — the lockstep solver driver's
+workhorse (docs/DESIGN.md §7).  Rows group by padded length, multiply
+row-wise by a cached stacked kernel-spectrum block, and transform in one
+batched pair, with per-row robustness decisions and per-row accounting; a
+one-row call (every advance of a lone solve) skips the grouping.
+:meth:`AdvanceEngine.advance` is that one-row call.
 
 Numerical-robustness extension (documented in docs/DESIGN.md §1): FFT
 convolution carries an *absolute* error ~``eps * ||x||_2 * ||W||_2``, so when
@@ -44,7 +45,6 @@ from typing import Callable, Iterable, Literal, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import fft as sfft
-from scipy.signal import fftconvolve
 
 from repro.core.boundary import scan_prefix_boundary
 from repro.core.weights import hstep_weights
@@ -99,15 +99,6 @@ MAX_BLOCK_ELEMENTS = 1 << 21
 #: from pinning unbounded memory.
 MAX_SPECTRA_BYTES = 64 * (1 << 20)
 
-#: Byte budget for the batched-transform input stacks, the engine's
-#: largest scratch buffers: each ratchets to the widest batch seen for its
-#: padded length, so a long-lived shared engine must not keep every size
-#: it ever served.  Sized above the working set of a 1024-wide lockstep
-#: batch (~40 live pad lengths x a few MB) — a tighter budget makes the
-#: eviction loop churn fresh allocations every round and costs more than
-#: it saves.
-MAX_STACK_BYTES = 256 * (1 << 20)
-
 #: Byte budget for the flat green/payoff-table block behind
 #: :meth:`AdvanceEngine.base_rows_batch`.  Tables are per-solve (a fresh
 #: batch registers fresh tables), so the block is cleared wholesale when
@@ -133,11 +124,11 @@ NUMBA_ENV_FLAG = "REPRO_NUMBA"
 _numba_checked = False
 _numba_mac_kernel: Optional[Callable] = None
 
-#: Shared zero-length reply for degenerate (empty-window) base rows —
-#: nothing to mutate, so one instance serves every caller.
 #: dtype singleton for the advance_batch contiguity fast path
 _F64 = np.dtype(np.float64)
 
+#: Shared zero-length reply for degenerate (empty-window) base rows —
+#: nothing to mutate, so one instance serves every caller.
 _EMPTY_ROW = np.empty(0, dtype=np.float64)
 _EMPTY_ROW.setflags(write=False)
 
@@ -183,15 +174,14 @@ class AdvanceRecord:
 
     ``spectrum_hit`` is ``True``/``False`` when the engine's kernel-spectrum
     cache was consulted (hit/miss), ``None`` on paths that never touch it
-    (direct correlation, h=0 copies, the legacy ``fftconvolve`` path, and
-    batch rows served from a cached *spectrum block* — the block counters
-    cover those).  For batched records it is ``True`` only when every
-    consulted group hit.  ``spectrum_hits``/``spectrum_misses`` carry the
-    exact per-call counts (a batched advance consults the cache once per
-    length group — :meth:`AdvanceEngine.advance_batch` once per *distinct*
-    per-row kernel).  ``batch`` counts the inputs a single batched
-    transform carried (1 for plain advances).  ``method`` is ``"mixed"``
-    when a batch's rows resolved to different methods.
+    (direct correlation, h=0 copies, and batch rows served from a cached
+    *spectrum block* — the block counters cover those).  For batched
+    records it is ``True`` only when every consulted row hit.
+    ``spectrum_hits``/``spectrum_misses`` carry the exact per-call counts
+    (:meth:`AdvanceEngine.advance_batch` consults the cache once per
+    *distinct* per-row kernel).  ``batch`` counts the inputs a single
+    batched transform carried (1 for a one-row advance).  ``method`` is
+    ``"mixed"`` when a batch's rows resolved to different methods.
 
     Batched calls additionally report:
 
@@ -228,36 +218,17 @@ def _direct_correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 #: accumulates each output cell left-to-right over the taps — the same
 #: order as the loop — so the swap is bit-identical (the bit-agreement
 #: tests pin this).  The q+1-tap kernels sit far below
-#: ``AdvancePolicy.min_fft_size``, so this mirrors exactly what
-#: ``advance_many``'s fft-vs-direct guard would choose for a 1-step row.
+#: ``AdvancePolicy.min_fft_size``, so this mirrors exactly what the
+#: engine's fft-vs-direct guard would choose for a 1-step row.
 row_correlate = _direct_correlate
-
-
-def _fft_correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Legacy valid-mode correlation (convolve with reversed kernel).
-
-    Kept as the ``reuse=False`` reference path: it re-transforms the kernel
-    on every call, exactly the behaviour the plan cache amortises away.  The
-    old-vs-new benchmark (``benchmarks/bench_advance_engine.py``) times this
-    against the cached path.
-    """
-    return fftconvolve(x, w[::-1], mode="valid")
-
-
-def _legacy_fft_workspan(input_len: int, kernel_len: int) -> WorkSpan:
-    """Work/span of the fftconvolve path: 3 transforms of the padded length."""
-    n = sfft.next_fast_len(input_len + kernel_len - 1)
-    one_fft = fft_cost(n)
-    return WorkSpan(3.0 * one_fft.work + 2.0 * n, 3.0 * one_fft.span + 1.0)
 
 
 class AdvanceEngine:
     """Stateful, plan-caching multi-step advance (docs/DESIGN.md §3).
 
-    Each solver instantiates one engine per solve — or shares one across a
-    batch of solves (:func:`repro.core.api.price_many`) — and calls
-    :meth:`advance` where it previously called the free function.  The engine
-    caches, across calls:
+    Each solve runs on one engine — a fresh one per solve, or one shared
+    across a batch of solves (:func:`repro.core.api.price_many`).  The
+    engine caches, across calls:
 
     * the conjugated kernel spectrum ``conj(rfft(W, n))`` keyed by
       ``(taps, h, n)`` — one forward kernel transform per distinct shape,
@@ -270,22 +241,18 @@ class AdvanceEngine:
     Correlation uses the conjugate trick: ``irfft(rfft(x, n) * conj(rfft(W,
     n)))[c] = sum_k W_k x_{c+k}`` for ``c <= len(x) - len(W)`` whenever
     ``n >= len(x)`` (no circular wrap can reach the valid prefix), so the pad
-    length is ``next_fast_len(len(x))`` — smaller than ``fftconvolve``'s
-    ``next_fast_len(len(x) + len(W) - 1)`` — and no reversed-kernel copy is
-    ever made.
-
-    Parameters
-    ----------
-    policy:
-        FFT-vs-direct robustness policy applied per call.
-    reuse:
-        ``False`` disables every cache and routes FFT advances through the
-        legacy ``fftconvolve`` path — the exact pre-engine behaviour, kept
-        for the old-vs-new benchmark and regression comparisons.
+    length is ``next_fast_len(len(x))`` — smaller than a linear
+    convolution's ``next_fast_len(len(x) + len(W) - 1)`` — and no
+    reversed-kernel copy is ever made.
 
     An engine is **not thread-safe** (the scratch buffers are shared across
     its calls); use one engine per solve/thread.  The module-level
     :func:`advance` wrapper keeps one default engine per thread.
+
+    Parameters
+    ----------
+    policy:
+        FFT-vs-direct robustness policy applied per row.
     max_spectra / max_scratch / max_blocks:
         Bounds on the caches (oldest-first eviction); a single solve stays
         far below them, the defaults only matter for long-lived shared
@@ -298,7 +265,6 @@ class AdvanceEngine:
         self,
         policy: AdvancePolicy = DEFAULT_POLICY,
         *,
-        reuse: bool = True,
         max_spectra: int = 512,
         max_scratch: int = 64,
         max_blocks: int = 16,
@@ -306,7 +272,6 @@ class AdvanceEngine:
         use_numba: Optional[bool] = None,
     ):
         self.policy = policy
-        self.reuse = reuse
         self.max_spectra = max_spectra
         self.max_scratch = max_scratch
         self.max_blocks = max_blocks
@@ -323,8 +288,6 @@ class AdvanceEngine:
         self._spectra: dict[tuple, np.ndarray] = {}
         self._spectra_bytes = 0
         self._scratch: dict[int, np.ndarray] = {}
-        self._stack_scratch: dict[int, np.ndarray] = {}
-        self._stack_scratch_bytes = 0
         self._fast_len: dict[int, int] = {}
         self._weights: dict[tuple, np.ndarray] = {}
         self._blocks: dict[tuple, np.ndarray] = {}
@@ -357,7 +320,6 @@ class AdvanceEngine:
         self.spectrum_misses = 0
         self.advances = 0
         self.batched_inputs = 0
-        self.batch_advances = 0
         self.block_hits = 0
         self.block_misses = 0
         self.base_batch_calls = 0
@@ -471,7 +433,11 @@ class AdvanceEngine:
                 self._kernel_spectrum(taps_t, h, self.fast_len(int(input_len)), w)
 
     def cache_info(self) -> dict:
-        """Counters for benchmarks and the engine regression tests."""
+        """Counters for benchmarks and the engine regression tests.
+
+        ``cached_*`` keys are cache sizes; every other key is a cumulative
+        counter (:func:`engine_delta` relies on this naming rule).
+        """
         return {
             "spectrum_hits": self.spectrum_hits,
             "spectrum_misses": self.spectrum_misses,
@@ -480,7 +446,6 @@ class AdvanceEngine:
             "cached_blocks": len(self._blocks),
             "advances": self.advances,
             "batched_inputs": self.batched_inputs,
-            "batch_advances": self.batch_advances,
             "block_hits": self.block_hits,
             "block_misses": self.block_misses,
             "base_batch_calls": self.base_batch_calls,
@@ -514,36 +479,6 @@ class AdvanceEngine:
             self._spectra_bytes -= old.nbytes
         return spec, False
 
-    def _padded_stack(self, rows: int, n: int) -> np.ndarray:
-        """Reusable ``(>= rows, n)`` scratch for batched transforms.
-
-        Callers overwrite every used row in full (payload then zero tail),
-        so no clearing is needed here; ``stack[:rows]`` is what they
-        transform.  Stacks are the engine's largest buffers (they ratchet
-        to the widest batch seen per padded length), so the cache is
-        byte-budgeted: oversized requests get a one-shot buffer and the
-        resident set is evicted oldest-first past ``MAX_STACK_BYTES``.
-        """
-        buf = self._stack_scratch.get(n)
-        if buf is None or buf.shape[0] < rows:
-            buf = np.zeros((rows, n), dtype=np.float64)
-            if buf.nbytes > MAX_STACK_BYTES:
-                return buf  # one-shot: too large to keep resident
-            old = self._stack_scratch.pop(n, None)
-            if old is not None:
-                self._stack_scratch_bytes -= old.nbytes
-            self._stack_scratch[n] = buf
-            self._stack_scratch_bytes += buf.nbytes
-            while len(self._stack_scratch) > 1 and (
-                len(self._stack_scratch) > self.max_scratch
-                or self._stack_scratch_bytes > MAX_STACK_BYTES
-            ):
-                dropped = self._stack_scratch.pop(
-                    next(iter(self._stack_scratch))
-                )
-                self._stack_scratch_bytes -= dropped.nbytes
-        return buf
-
     def _padded(self, x: np.ndarray, n: int) -> np.ndarray:
         buf = self._scratch.get(n)
         if buf is None:
@@ -569,9 +504,11 @@ class AdvanceEngine:
             )
         return kernel_len
 
-    def _fft_cached(
+    def _fft_row(
         self, x: np.ndarray, taps_t: tuple, h: int, kernel_len: int
-    ) -> tuple[np.ndarray, WorkSpan, bool]:
+    ) -> tuple[np.ndarray, AdvanceRecord]:
+        """One row through the cached kernel spectrum (the kernel itself is
+        only materialised on a spectrum miss)."""
         m = len(x)
         n = self.fast_len(m)
         spec, hit = self._kernel_spectrum(taps_t, h, n)
@@ -583,7 +520,25 @@ class AdvanceEngine:
         ws = WorkSpan(
             transforms * one_fft.work + 2.0 * n, transforms * one_fft.span + 1.0
         )
-        return y, ws, hit
+        return y, AdvanceRecord(
+            "fft", m, h, ws,
+            spectrum_hit=hit,
+            spectrum_hits=int(hit),
+            spectrum_misses=int(not hit),
+        )
+
+    def _direct_row(
+        self, x: np.ndarray, taps_t: tuple, h: int, kernel_len: int
+    ) -> tuple[np.ndarray, AdvanceRecord]:
+        """One row by direct correlation against the h-step kernel."""
+        m = x.shape[0]
+        return _direct_correlate(x, self._hstep(taps_t, h)), AdvanceRecord(
+            "direct", m, h,
+            WorkSpan(
+                2.0 * (m - kernel_len + 1) * kernel_len,
+                np.log2(kernel_len + 1.0) + 1.0,
+            ),
+        )
 
     def advance(
         self,
@@ -595,166 +550,71 @@ class AdvanceEngine:
     ) -> tuple[np.ndarray, AdvanceRecord]:
         """Advance ``x`` by ``h`` linear stencil steps; return (values, record).
 
-        Same contract as the module-level :func:`advance` (which now wraps a
-        default engine): ``y[c'] = (A^h x)[c']`` on the ``len(x) - q*h``
-        left-aligned output columns.
+        A one-row :meth:`advance_batch` call, with the same contract as the
+        module-level :func:`advance`: ``y[c'] = (A^h x)[c']`` on the
+        ``len(x) - q*h`` left-aligned output columns.
         """
-        self._tick()
-        h = check_integer("h", h, minimum=0)
-        x = np.ascontiguousarray(x, dtype=np.float64)
-        taps_t = tuple(float(v) for v in taps)
-        q = len(taps_t) - 1
-        self.advances += 1
-        if h == 0:
-            return x.copy(), AdvanceRecord("copy", len(x), 0, WorkSpan(len(x), 1.0))
-        kernel_len = self._validate(x, q, h)
-        x_max = float(np.max(np.abs(x))) if len(x) else 0.0
-        method = self.policy.choose(
-            x_max, scale if scale is not None else 0.0, kernel_len
-        )
-        if method == "fft":
-            if self.reuse:
-                # the kernel itself is only materialised on a spectrum miss
-                y, ws, hit = self._fft_cached(x, taps_t, h, kernel_len)
-                return y, AdvanceRecord(
-                    "fft",
-                    len(x),
-                    h,
-                    ws,
-                    spectrum_hit=hit,
-                    spectrum_hits=int(hit),
-                    spectrum_misses=int(not hit),
-                )
-            y = _fft_correlate(x, hstep_weights(taps_t, h))
-            return y, AdvanceRecord(
-                "fft", len(x), h, _legacy_fft_workspan(len(x), kernel_len)
-            )
-        w = self._hstep(taps_t, h) if self.reuse else hstep_weights(taps_t, h)
-        y = _direct_correlate(x, w)
-        ws = WorkSpan(2.0 * len(y) * kernel_len, np.log2(kernel_len + 1.0) + 1.0)
-        return y, AdvanceRecord(method, len(x), h, ws)
+        ys, rec = self.advance_batch((x,), ((taps, h),), scales=(scale,))
+        return ys[0], rec.rows[0]  # type: ignore[index]
 
-    def advance_many(
-        self,
-        xs: Sequence[np.ndarray],
-        taps: Sequence[float],
-        h: int,
-        *,
-        scale: float | None = None,
+    def _method(self, a: np.ndarray, scale: float, kernel_len: int) -> str:
+        """The policy's fft-vs-direct choice for one row.
+
+        The stock policy reads ``max|x|`` only for FFT-eligible kernels, so
+        the magnitude reduce (surprisingly the priciest scalar op in a
+        trapezoid batch) is skipped for short-kernel rows.  Decisions are
+        identical to ``policy.choose()``; a subclassed policy gets the
+        eager call.
+        """
+        pol = self.policy
+        if type(pol) is not AdvancePolicy or pol.mode != "auto":
+            x_max = float(np.max(np.abs(a))) if len(a) else 0.0
+            return pol.choose(x_max, scale, kernel_len)
+        if kernel_len < pol.min_fft_size:
+            return "direct"
+        if scale > 0.0 and len(a):
+            mx = a.max()
+            mn = -a.min()
+            if (mx if mx >= mn else mn) > pol.max_amplification * scale:
+                return "direct"
+        return "fft"
+
+    def _advance_row(
+        self, x: np.ndarray, taps: Sequence[float], h: int, scale: float
     ) -> tuple[list[np.ndarray], AdvanceRecord]:
-        """Advance many inputs by the *same* ``(taps, h)`` kernel at once.
+        """The B = 1 path of :meth:`advance_batch`.
 
-        Inputs of equal length are stacked and transformed in a single
-        batched ``rfft(axis=-1)``/``irfft(axis=-1)`` pair against one cached
-        kernel spectrum — the portfolio fast path behind
-        :func:`repro.core.api.price_many`.  Mixed lengths are grouped by
-        length, and the FFT-vs-direct robustness choice is made *per
-        length group* from that group's own magnitude — one
-        outlier-magnitude input no longer forces its whole batch off the
-        FFT fast path (the aggregate record reports ``"mixed"`` when groups
-        diverge).  Returns the per-input outputs (input order preserved)
-        and one aggregate record; independent groups (and independent rows
-        on the non-stacked paths) compose in parallel (``beside``), so the
-        recorded span reflects the batch's real critical path.
+        Every advance of a lone solve lands here, so it skips the grouping
+        preamble; the decisions, spectra, output bits and row record are
+        exactly those of the same row inside a wider batch.
         """
-        self._tick()
-        h = check_integer("h", h, minimum=0)
-        taps_t = tuple(float(v) for v in taps)
-        q = len(taps_t) - 1
-        arrs = [np.ascontiguousarray(x, dtype=np.float64) for x in xs]
-        total = sum(len(a) for a in arrs)
-        if not arrs:
-            return [], AdvanceRecord("copy", 0, h, WorkSpan.ZERO, batch=0)
-        if h == 0:
-            self.advances += 1
-            self.batched_inputs += len(arrs)
-            return [a.copy() for a in arrs], AdvanceRecord(
-                "copy", total, 0, WorkSpan(total, 1.0), batch=len(arrs)
-            )
-        kernel_len = q * h + 1
-        for a in arrs:
-            self._validate(a, q, h)
-        scale_val = scale if scale is not None else 0.0
+        if not (
+            type(x) is np.ndarray and x.dtype == _F64 and x.flags.c_contiguous
+        ):
+            x = np.ascontiguousarray(x, dtype=np.float64)
+        taps_t = taps if type(taps) is tuple else tuple(float(v) for v in taps)
+        if type(h) is not int or h < 0:
+            h = check_integer("h", h, minimum=0)
         self.advances += 1
-        self.batched_inputs += len(arrs)
-
-        # Group indices by input length; one batched transform (and one
-        # FFT-vs-direct decision) per group.
-        groups: dict[int, list[int]] = {}
-        for idx, a in enumerate(arrs):
-            groups.setdefault(len(a), []).append(idx)
-        outs: list[Optional[np.ndarray]] = [None] * len(arrs)
-        ws = WorkSpan.ZERO
-        hits = misses = 0
-        consulted = False
-        methods: set[str] = set()
-        for m, idxs in groups.items():
-            g_max = max(
-                float(np.max(np.abs(arrs[i]))) if len(arrs[i]) else 0.0
-                for i in idxs
-            )
-            g_method = self.policy.choose(g_max, scale_val, kernel_len)
-            methods.add(g_method)
-            if g_method != "fft":
-                w = self._hstep(taps_t, h) if self.reuse else hstep_weights(taps_t, h)
-                g_ws = WorkSpan.ZERO
-                for i in idxs:
-                    y = _direct_correlate(arrs[i], w)
-                    outs[i] = y
-                    g_ws = g_ws.beside(
-                        WorkSpan(
-                            2.0 * len(y) * kernel_len,
-                            np.log2(kernel_len + 1.0) + 1.0,
-                        )
-                    )
-                ws = ws.beside(g_ws)
-                continue
-            if not self.reuse:
-                # Legacy fftconvolve per row; the rows are independent, so
-                # the record composes them in parallel (beside) — the same
-                # critical-path accounting the cached stacked path reports.
-                w = hstep_weights(taps_t, h)
-                g_ws = WorkSpan.ZERO
-                for i in idxs:
-                    outs[i] = _fft_correlate(arrs[i], w)
-                    g_ws = g_ws.beside(_legacy_fft_workspan(m, kernel_len))
-                ws = ws.beside(g_ws)
-                continue
-            consulted = True
-            n = self.fast_len(m)
-            spec, hit = self._kernel_spectrum(taps_t, h, n)
-            if hit:
-                hits += 1
+        self.batched_inputs += 1
+        if self.telemetry is not None:
+            self._h_batch_rows.observe(1)
+        m = x.shape[0]
+        if h == 0:
+            y = x.copy()
+            row = AdvanceRecord("copy", m, 0, WorkSpan(m, 1.0))
+        else:
+            kernel_len = self._validate(x, len(taps_t) - 1, h)
+            if self._method(x, scale, kernel_len) == "fft":
+                y, row = self._fft_row(x, taps_t, h, kernel_len)
             else:
-                misses += 1
-            stack = np.zeros((len(idxs), n), dtype=np.float64)
-            for r, idx in enumerate(idxs):
-                stack[r, :m] = arrs[idx]
-            X = sfft.rfft(stack, axis=-1)
-            X *= spec
-            Y = sfft.irfft(X, n=n, axis=-1)
-            out_len = m - kernel_len + 1
-            for r, idx in enumerate(idxs):
-                outs[idx] = Y[r, :out_len].copy()
-            one_fft = fft_cost(n)
-            transforms = 2.0 * len(idxs) + (0.0 if hit else 1.0)
-            # batched rows transform independently: critical path is one
-            # forward/inverse pair (plus the kernel transform on a miss)
-            ws = ws.beside(
-                WorkSpan(
-                    transforms * one_fft.work + 2.0 * n * len(idxs),
-                    (2.0 if hit else 3.0) * one_fft.span + 1.0,
-                )
-            )
-        return list(outs), AdvanceRecord(  # type: ignore[arg-type]
-            methods.pop() if len(methods) == 1 else "mixed",
-            total,
-            h,
-            ws,
-            spectrum_hit=(misses == 0) if consulted else None,
-            spectrum_hits=hits,
-            spectrum_misses=misses,
-            batch=len(arrs),
+                y, row = self._direct_row(x, taps_t, h, kernel_len)
+        return [y], AdvanceRecord(
+            row.method, m, h, row.workspan,
+            spectrum_hit=row.spectrum_hit,
+            spectrum_hits=row.spectrum_hits,
+            spectrum_misses=row.spectrum_misses,
+            rows=[row],
         )
 
     def _spectrum_block(
@@ -818,26 +678,26 @@ class AdvanceEngine:
     ) -> tuple[list[np.ndarray], AdvanceRecord]:
         """Advance B inputs, each by its **own** ``(taps, h)`` kernel, at once.
 
-        The multi-kernel generalisation of :meth:`advance_many` and the
-        workhorse of the lockstep batch solver
-        (:func:`repro.core.lockstep.drive_lockstep`): scenario grids,
-        implied-vol ladders and Greek bump grids vary volatility/rate per
-        cell, so every cell carries a *different* kernel and the same-kernel
-        fast path never applies.  Here rows are grouped by padded FFT
-        length, each group is stacked into one ``(G, n)`` array, multiplied
-        row-wise by a stacked ``(G, n_rfft)`` kernel-spectrum block (cached
-        whole — see :meth:`_spectrum_block`), and transformed with a single
+        The engine's one linear-advance entry point and the workhorse of
+        the solver driver (:func:`repro.core.lockstep.drive_lockstep`):
+        scenario grids, implied-vol ladders and Greek bump grids vary
+        volatility/rate per cell, so every cell carries a *different*
+        kernel.  Rows are grouped by padded FFT length, each group is
+        stacked into one ``(G, n)`` array, multiplied row-wise by a stacked
+        ``(G, n_rfft)`` kernel-spectrum block (cached whole — see
+        :meth:`_spectrum_block`), and transformed with a single
         ``rfft``/``irfft`` pair — one batched transform per group instead
-        of B Python-level calls.
+        of B Python-level calls.  A one-row call (every advance of a lone
+        solve) skips the grouping.
 
         Robustness and accounting are **per row**: each row makes its own
         FFT-vs-direct choice against its own magnitude and ``scales[i]``,
         and the returned record's ``rows`` list carries one sub-record per
-        input mirroring what a standalone :meth:`advance` would have
-        recorded.  Every FFT row's output is bit-identical to its
-        standalone advance (same pad, same spectrum; a batched real FFT
-        transforms each row exactly as the 1-D transform does), so lockstep
-        solves match their serial twins bit-for-bit.
+        input mirroring what a one-row call would have recorded.  Every
+        row's output is bit-identical to its one-row advance (same pad,
+        same spectrum; a batched real FFT transforms each row exactly as
+        the 1-D transform does), so a solve's answer never depends on the
+        batch it rides in.
 
         Parameters
         ----------
@@ -850,31 +710,14 @@ class AdvanceEngine:
             (``None`` entries disable that row's guard).
         """
         self._tick()
-        # lockstep rows are always contiguous float64 (solver windows and
-        # batch-output views); skip the per-row ascontiguousarray wrapper
-        arrs = [
-            x
-            if type(x) is np.ndarray
-            and x.dtype == _F64
-            and x.flags.c_contiguous
-            else np.ascontiguousarray(x, dtype=np.float64)
-            for x in xs
-        ]
-        if len(arrs) != len(kernels):
+        B = len(xs)
+        if B != len(kernels):
             raise ValidationError(
-                f"advance_batch needs one kernel per input: got {len(arrs)} "
+                f"advance_batch needs one kernel per input: got {B} "
                 f"inputs, {len(kernels)} kernels"
             )
-        kers = [
-            (
-                taps if type(taps) is tuple else tuple(float(v) for v in taps),
-                h if type(h) is int and h >= 0 else check_integer("h", h, minimum=0),
-            )
-            for taps, h in kernels
-        ]
-        if not arrs:
+        if not B:
             return [], AdvanceRecord("copy", 0, 0, WorkSpan.ZERO, batch=0, rows=[])
-        B = len(arrs)
         if scales is None:
             scale_list = [0.0] * B
         elif np.isscalar(scales):
@@ -886,34 +729,44 @@ class AdvanceEngine:
                     f"scales must be a scalar or one per input: got "
                     f"{len(scale_list)} for {B} inputs"
                 )
+        if B == 1:
+            taps, h = kernels[0]
+            return self._advance_row(xs[0], taps, h, scale_list[0])
+        # lockstep rows are always contiguous float64 (solver windows and
+        # batch-output views); skip the per-row ascontiguousarray wrapper
+        arrs = [
+            x
+            if type(x) is np.ndarray
+            and x.dtype == _F64
+            and x.flags.c_contiguous
+            else np.ascontiguousarray(x, dtype=np.float64)
+            for x in xs
+        ]
+        kers = [
+            (
+                taps if type(taps) is tuple else tuple(float(v) for v in taps),
+                h if type(h) is int and h >= 0 else check_integer("h", h, minimum=0),
+            )
+            for taps, h in kernels
+        ]
         self.advances += 1
         self.batched_inputs += B
-        self.batch_advances += 1
         if self.telemetry is not None:
             self._h_batch_rows.observe(B)
-        if self.reuse:
-            # Lockstep interleaving destroys the per-solve temporal locality
-            # the default spectrum bound assumes: B solves' kernels repeat
-            # with a reuse distance of ~B x (distinct kernels per solve).
-            # Scale the entry bound with the batch width; MAX_SPECTRA_BYTES
-            # still caps the memory.  The direct-path kernel cache reuses
-            # with the same distance, so its bound scales alongside.
-            self.max_spectra = max(self.max_spectra, 8 * B)
-            self.max_weights = max(self.max_weights, 32 * B)
+        # Lockstep interleaving destroys the per-solve temporal locality the
+        # default spectrum bound assumes: B solves' kernels repeat with a
+        # reuse distance of ~B x (distinct kernels per solve).  Scale the
+        # entry bound with the batch width; MAX_SPECTRA_BYTES still caps the
+        # memory.  The direct-path kernel cache reuses with the same
+        # distance, so its bound scales alongside.
+        self.max_spectra = max(self.max_spectra, 8 * B)
+        self.max_weights = max(self.max_weights, 32 * B)
 
         rows: list[Optional[AdvanceRecord]] = [None] * B
         outs: list[Optional[np.ndarray]] = [None] * B
         fft_groups: dict[int, list[int]] = {}
         direct_groups: dict[int, list[int]] = {}
-        pol = self.policy
-        # The stock policy reads max|x| only for FFT-eligible kernels, so
-        # the per-row magnitude reduce (surprisingly the priciest scalar op
-        # in a trapezoid batch) is computed lazily — short-kernel rows skip
-        # it entirely.  Decisions are identical to policy.choose(); a
-        # subclassed policy falls back to the eager call.
-        inline_pol = type(pol) is AdvancePolicy and pol.mode == "auto"
-        min_fft = pol.min_fft_size
-        max_amp = pol.max_amplification
+        method_of = self._method
         for i, (a, (taps_t, h)) in enumerate(zip(arrs, kers)):
             q = len(taps_t) - 1
             if h == 0:
@@ -923,48 +776,11 @@ class AdvanceEngine:
             kernel_len = q * h + 1
             if len(a) < kernel_len:
                 self._validate(a, q, h)  # raises the standard message
-            if inline_pol:
-                if kernel_len < min_fft:
-                    method = "direct"
-                else:
-                    sc = scale_list[i]
-                    if sc > 0.0 and len(a):
-                        mx = a.max()
-                        mn = -a.min()
-                        method = (
-                            "direct"
-                            if (mx if mx >= mn else mn) > max_amp * sc
-                            else "fft"
-                        )
-                    else:
-                        method = "fft"
+            if method_of(a, scale_list[i], kernel_len) == "fft":
+                fft_groups.setdefault(self.fast_len(len(a)), []).append(i)
             else:
-                x_max = float(np.max(np.abs(a))) if len(a) else 0.0
-                method = pol.choose(x_max, scale_list[i], kernel_len)
-            if method != "fft":
-                if self.reuse:
-                    # stacked below — direct rows dominate trapezoid batches
-                    direct_groups.setdefault(kernel_len, []).append(i)
-                    continue
-                w = hstep_weights(taps_t, h)
-                y = _direct_correlate(a, w)
-                outs[i] = y
-                rows[i] = AdvanceRecord(
-                    "direct", len(a), h,
-                    WorkSpan(
-                        2.0 * len(y) * kernel_len,
-                        np.log2(kernel_len + 1.0) + 1.0,
-                    ),
-                )
-                continue
-            if not self.reuse:
-                w = hstep_weights(taps_t, h)
-                outs[i] = _fft_correlate(a, w)
-                rows[i] = AdvanceRecord(
-                    "fft", len(a), h, _legacy_fft_workspan(len(a), kernel_len)
-                )
-                continue
-            fft_groups.setdefault(self.fast_len(len(a)), []).append(i)
+                # stacked below — direct rows dominate trapezoid batches
+                direct_groups.setdefault(kernel_len, []).append(i)
 
         # ---- stacked direct rows: same-shape (input, kernel) rows run as
         # one broadcast multiply-accumulate — identical accumulation order
@@ -978,15 +794,7 @@ class AdvanceEngine:
             if len(d_idxs) == 1 or kl > MAC_STACK_MAX_KERNEL:
                 for i in d_idxs:
                     taps_t, h = kers[i]
-                    la = arrs[i].shape[0]
-                    outs[i] = _direct_correlate(arrs[i], self._hstep(taps_t, h))
-                    rows[i] = AdvanceRecord(
-                        "direct", la, h,
-                        WorkSpan(
-                            2.0 * (la - kl + 1) * kl,
-                            np.log2(kl + 1.0) + 1.0,
-                        ),
-                    )
+                    outs[i], rows[i] = self._direct_row(arrs[i], taps_t, h, kl)
                 continue
             # ragged stack: rows share the kernel length but not the input
             # length — pad to the longest row (junk tails the per-row
@@ -1048,19 +856,13 @@ class AdvanceEngine:
             one_fft = fft_cost(n)
             if len(idxs) == 1:
                 # A lone row gains nothing from stacking: serve it through
-                # the plain cached path (same accounting as advance()).
+                # the one-row path (same accounting as a one-row call).
                 i = idxs[0]
                 taps_t, h = kers[i]
-                y, row_ws, hit = self._fft_cached(
+                outs[i], rows[i] = self._fft_row(
                     arrs[i], taps_t, h, (len(taps_t) - 1) * h + 1
                 )
-                outs[i] = y
-                rows[i] = AdvanceRecord(
-                    "fft", len(arrs[i]), h, row_ws,
-                    spectrum_hit=hit,
-                    spectrum_hits=int(hit),
-                    spectrum_misses=int(not hit),
-                )
+                hit = rows[i].spectrum_hit
                 hits += int(hit)
                 misses += int(not hit)
                 continue
@@ -1532,25 +1334,13 @@ def engine_delta(before: dict, after: dict) -> dict:
 
     Cumulative counters become this-solve deltas (so results from solves
     sharing one engine report their own activity, not the whole batch's);
-    cache sizes stay absolute — they describe the engine, not the solve.
+    cache sizes — the ``cached_*`` keys — stay absolute: they describe the
+    engine, not the solve.
     """
-    out = dict(after)
-    for key in (
-        "spectrum_hits",
-        "spectrum_misses",
-        "advances",
-        "batched_inputs",
-        "batch_advances",
-        "block_hits",
-        "block_misses",
-        "base_batch_calls",
-        "base_batch_rows",
-        "base_block_hits",
-        "base_block_misses",
-        "checkpoints",
-    ):
-        out[key] = after[key] - before[key]
-    return out
+    return {
+        k: v if k.startswith("cached_") else v - before[k]
+        for k, v in after.items()
+    }
 
 
 #: Default engines behind the module-level compatibility wrapper are
@@ -1612,21 +1402,3 @@ def advance(
         engine = _default_engine() if policy is DEFAULT_POLICY else AdvanceEngine(policy)
     return engine.advance(x, taps, h, scale=scale)
 
-
-def advance_full_row(
-    x: np.ndarray,
-    taps: Sequence[float],
-    h: int,
-    *,
-    scale: float | None = None,
-    policy: AdvancePolicy = DEFAULT_POLICY,
-    engine: Optional[AdvanceEngine] = None,
-) -> tuple[np.ndarray, AdvanceRecord]:
-    """Alias of :func:`advance` named for the Bermudan/European jump use-case.
-
-    On tree grids a full row ``i+h`` (width ``q*(i+h)+1``) advanced ``h``
-    steps yields exactly the full row ``i`` (width ``q*i+1``), because the
-    valid-mode output shrinks by ``q*h`` — no padding or boundary conditions
-    are ever needed inside the lattice triangle.
-    """
-    return advance(x, taps, h, scale=scale, policy=policy, engine=engine)

@@ -1,4 +1,4 @@
-"""Lockstep drivers for generator-style solvers (docs/DESIGN.md §7).
+"""The solver driver for generator-style solvers (docs/DESIGN.md §7).
 
 The trapezoid solvers are data-dependent: each linear advance's window
 depends on the divider the previous advance revealed, so one solve is an
@@ -11,8 +11,6 @@ Python-level chains into a handful of wide vectorized transforms:
   :class:`AdvanceRequest` objects (the linear advance it needs next) or
   :class:`BaseRowRequest` objects (one naive base-case row) and receives
   the values back — the solver never touches an engine;
-* :func:`drive_serial` services one generator against one engine — the
-  classic per-solve path, call-for-call identical to the pre-refactor code;
 * :func:`drive_lockstep` services B generators *in rounds*: every round it
   partitions the one request each live solver is blocked on by kind and
   answers the linear advances with a single
@@ -20,14 +18,15 @@ Python-level chains into a handful of wide vectorized transforms:
   ``rfft``/row-multiply/``irfft`` per round) and the naive base rows with a
   single :meth:`~repro.core.fftstencil.AdvanceEngine.base_rows_batch` (one
   stacked multiply-accumulate + green-table gather + divider scan per
-  round) — instead of B Python-level calls of either kind.
+  round) — instead of B Python-level calls of either kind.  A lone solve
+  is the B = 1 case of the same rounds.
 
 Because a batched real FFT transforms each row exactly as the 1-D
 transform would, and the stacked base-row kernel accumulates its taps in
-the same left-to-right order as the serial ``np.correlate`` row (both
-verified by the bit-agreement tests), a lockstep solve is bit-identical to
-its serial twin: same pads, same spectra, same dividers, same recursion
-shape.  Batching changes the wall-clock, never the answer.
+the same left-to-right order as an inline ``np.correlate`` row (both
+verified by the bit-agreement tests), a solve's answer never depends on
+the batch it rides in: same pads, same spectra, same dividers, same
+recursion shape.  Batching changes the wall-clock, never the answer.
 """
 
 from __future__ import annotations
@@ -37,7 +36,8 @@ from typing import Generator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.fftstencil import AdvanceEngine, AdvanceRecord
+from repro.core.fftstencil import AdvanceEngine
+from repro.obs import NULL_TRACER
 
 #: What a solver generator yields: one linear advance it cannot proceed
 #: without.  ``scale`` feeds the engine's FFT-vs-direct robustness guard.
@@ -148,154 +148,84 @@ SolverRequest = Union[AdvanceRequest, BaseRowRequest]
 SolverGen = Generator[SolverRequest, Tuple[np.ndarray, object], object]
 
 
-def drive_serial(gen: SolverGen, engine: AdvanceEngine):
-    """Run one solver generator to completion on ``engine``.
-
-    Each yielded advance becomes one :meth:`AdvanceEngine.advance` call —
-    the same call sequence the solvers made before the generator refactor,
-    so serial results (prices, stats, workspans) are unchanged.  Solvers
-    built for lockstep (``batch_base=True``) may also yield
-    :class:`BaseRowRequest`; each is served as a one-row
-    :meth:`AdvanceEngine.base_rows_batch` call, bit-identical to the
-    solver's own serial row.
-    """
-    try:
-        req = next(gen)
-        while True:
-            if type(req) is BaseRowRequest:
-                outs, divs, _ = engine.base_rows_batch((req,))
-                req = gen.send((outs[0], divs[0]))
-            else:
-                req = gen.send(
-                    engine.advance(req.x, req.taps, req.h, scale=req.scale)
-                )
-    except StopIteration as stop:
-        return stop.value
-
-
 def drive_lockstep(gens: Sequence[SolverGen], engine: AdvanceEngine) -> list:
-    """Run B solver generators in lockstep rounds on ``engine``.
+    """Run B solver generators to completion in lockstep rounds on ``engine``.
 
-    Every round gathers the single request each unfinished generator is
-    blocked on, partitions by request kind, and services each kind with
-    one batched engine call (:meth:`AdvanceEngine.advance_batch` for
-    linear advances, :meth:`AdvanceEngine.base_rows_batch` for naive base
-    rows).  Generators finish at their own pace (their recursion shapes
-    differ with the divider data); the batches simply narrow as they do.
+    The one solver driver; a lone solve is B = 1.  Every round gathers the
+    single request each unfinished generator is blocked on, partitions the
+    requests by kind, and services each kind with one batched engine call
+    (:meth:`AdvanceEngine.advance_batch` for linear advances,
+    :meth:`AdvanceEngine.base_rows_batch` for naive base rows).
+    Generators finish at their own pace (their recursion shapes differ
+    with the divider data); the batches simply narrow as they do.
     Results come back in input order.
+
+    Telemetry rides on the engine (one handle instruments every solve):
+    with ``engine.telemetry`` set, the drive opens a ``solve`` span, each
+    round a ``lockstep_round`` span with ``advance_batch`` /
+    ``base_rows_batch`` children recording batch widths, and the round
+    width feeds a histogram.  The spans are per *round*, never per row,
+    and the engine calls are the same either way, so answers are
+    bit-identical with telemetry on.
     """
-    # Telemetry rides on the engine (one handle instruments every solve);
-    # disabled mode costs this single attribute read, and the enabled-mode
-    # spans are per *round*, never per row, so tracing a B-wide solve adds
-    # a constant handful of allocations per batched transform.
     tel = engine.telemetry
-    if tel is not None:
-        with tel.span("solve", solvers=len(gens)) as sp:
-            results = _drive_lockstep_traced(gens, engine, tel, sp)
-        return results
-    results: list = [None] * len(gens)
-    sends = [gen.send for gen in gens]  # bound once: ~rows x sends later
-    live: dict[int, SolverRequest] = {}
-    for i, gen in enumerate(gens):
-        try:
-            live[i] = next(gen)
-        except StopIteration as stop:  # solved without a single advance
-            results[i] = stop.value
-    while live:
-        base_is: list[int] = []
-        base_reqs: list[BaseRowRequest] = []
-        adv_is: list[int] = []
-        adv_xs: list[np.ndarray] = []
-        adv_kers: list[Tuple[Tuple[float, ...], int]] = []
-        adv_scales: list[Optional[float]] = []
-        for i, req in live.items():
-            if type(req) is BaseRowRequest:
-                base_is.append(i)
-                base_reqs.append(req)
-            else:
-                adv_is.append(i)
-                adv_xs.append(req.x)
-                adv_kers.append((req.taps, req.h))
-                adv_scales.append(req.scale)
-        if base_is:
-            outs, divs, _ = engine.base_rows_batch(base_reqs)
-            for i, y, d in zip(base_is, outs, divs):
-                try:
-                    live[i] = sends[i]((y, d))
-                except StopIteration as stop:
-                    results[i] = stop.value
-                    del live[i]
-        if adv_is:
-            a_outs, rec = engine.advance_batch(
-                adv_xs, adv_kers, scales=adv_scales
-            )
-            for i, y, row_rec in zip(adv_is, a_outs, rec.rows):
-                try:
-                    live[i] = sends[i]((y, row_rec))
-                except StopIteration as stop:
-                    results[i] = stop.value
-                    del live[i]
-    return results
-
-
-def _drive_lockstep_traced(gens, engine, tel, solve_span) -> list:
-    """The traced twin of :func:`drive_lockstep`'s round loop.
-
-    Identical engine call sequence (so results stay bit-identical with
-    telemetry on — the integration tests pin this); each round opens a
-    ``lockstep_round`` span with ``advance_batch`` / ``base_rows_batch``
-    children recording batch widths.
-    """
-    results: list = [None] * len(gens)
-    sends = [gen.send for gen in gens]
-    live: dict[int, SolverRequest] = {}
-    for i, gen in enumerate(gens):
-        try:
-            live[i] = next(gen)
-        except StopIteration as stop:
-            results[i] = stop.value
-    rounds = 0
-    h_round = tel.histogram(
-        "lockstep_round_width", help="live solvers per lockstep round"
+    span = NULL_TRACER.span if tel is None else tel.span
+    h_round = (
+        None
+        if tel is None
+        else tel.histogram(
+            "lockstep_round_width", help="live solvers per lockstep round"
+        )
     )
-    while live:
-        rounds += 1
-        h_round.observe(len(live))
-        with tel.span("lockstep_round", live=len(live)):
-            base_is: list[int] = []
-            base_reqs: list[BaseRowRequest] = []
-            adv_is: list[int] = []
-            adv_xs: list[np.ndarray] = []
-            adv_kers: list[Tuple[Tuple[float, ...], int]] = []
-            adv_scales: list[Optional[float]] = []
-            for i, req in live.items():
-                if type(req) is BaseRowRequest:
-                    base_is.append(i)
-                    base_reqs.append(req)
-                else:
-                    adv_is.append(i)
-                    adv_xs.append(req.x)
-                    adv_kers.append((req.taps, req.h))
-                    adv_scales.append(req.scale)
-            if base_is:
-                with tel.span("base_rows_batch", rows=len(base_is)):
-                    outs, divs, _ = engine.base_rows_batch(base_reqs)
-                for i, y, d in zip(base_is, outs, divs):
-                    try:
-                        live[i] = sends[i]((y, d))
-                    except StopIteration as stop:
-                        results[i] = stop.value
-                        del live[i]
-            if adv_is:
-                with tel.span("advance_batch", rows=len(adv_is)):
-                    a_outs, rec = engine.advance_batch(
-                        adv_xs, adv_kers, scales=adv_scales
-                    )
-                for i, y, row_rec in zip(adv_is, a_outs, rec.rows):
-                    try:
-                        live[i] = sends[i]((y, row_rec))
-                    except StopIteration as stop:
-                        results[i] = stop.value
-                        del live[i]
-    solve_span.set(rounds=rounds)
+    results: list = [None] * len(gens)
+    with span("solve", solvers=len(gens)) as solve_span:
+        sends = [gen.send for gen in gens]  # bound once: ~rows x sends later
+        live: dict[int, SolverRequest] = {}
+        for i, gen in enumerate(gens):
+            try:
+                live[i] = next(gen)
+            except StopIteration as stop:  # solved without a single request
+                results[i] = stop.value
+        rounds = 0
+        while live:
+            rounds += 1
+            if h_round is not None:
+                h_round.observe(len(live))
+            with span("lockstep_round", live=len(live)):
+                base_is: list[int] = []
+                base_reqs: list[BaseRowRequest] = []
+                adv_is: list[int] = []
+                adv_xs: list[np.ndarray] = []
+                adv_kers: list[Tuple[Tuple[float, ...], int]] = []
+                adv_scales: list[Optional[float]] = []
+                for i, req in live.items():
+                    if type(req) is BaseRowRequest:
+                        base_is.append(i)
+                        base_reqs.append(req)
+                    else:
+                        adv_is.append(i)
+                        adv_xs.append(req.x)
+                        adv_kers.append((req.taps, req.h))
+                        adv_scales.append(req.scale)
+                if base_is:
+                    with span("base_rows_batch", rows=len(base_is)):
+                        outs, divs, _ = engine.base_rows_batch(base_reqs)
+                    for i, y, d in zip(base_is, outs, divs):
+                        try:
+                            live[i] = sends[i]((y, d))
+                        except StopIteration as stop:
+                            results[i] = stop.value
+                            del live[i]
+                if adv_is:
+                    with span("advance_batch", rows=len(adv_is)):
+                        ys, rec = engine.advance_batch(
+                            adv_xs, adv_kers, scales=adv_scales
+                        )
+                    for i, y, row in zip(adv_is, ys, rec.rows):
+                        try:
+                            live[i] = sends[i]((y, row))
+                        except StopIteration as stop:
+                            results[i] = stop.value
+                            del live[i]
+        solve_span.set(rounds=rounds)
     return results

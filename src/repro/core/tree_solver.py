@@ -33,6 +33,13 @@ the divider moves by at most one), solves it with
 
 Puts are *not* handled here: their divider is mirrored.  Use
 :mod:`repro.core.symmetry` (exact put–call symmetry) or the vanilla solvers.
+
+Every solve is a generator driven by
+:func:`~repro.core.lockstep.drive_lockstep`: it yields its linear advances
+and, in a batch of B > 1 solves, its naive base rows too, so the driver
+can stack them across solves.  A lone solve (:func:`solve_tree_fft`, the
+B = 1 case of :func:`solve_tree_fft_batch`) runs its base rows inline —
+yielding them would only add a driver round trip per row.
 """
 
 from __future__ import annotations
@@ -52,12 +59,7 @@ from repro.core.fftstencil import (
     engine_delta as _engine_delta,
     row_correlate,
 )
-from repro.core.lockstep import (
-    AdvanceRequest,
-    BaseRowRequest,
-    drive_lockstep,
-    drive_serial,
-)
+from repro.core.lockstep import AdvanceRequest, BaseRowRequest, drive_lockstep
 from repro.core.metrics import SolveStats
 from repro.options.contract import Right, Style
 from repro.options.params import BinomialParams, TrinomialParams
@@ -88,17 +90,16 @@ class _TreeSolver:
     :meth:`solve_trapezoid` is a *generator* (docs/DESIGN.md §7): it yields
     :class:`~repro.core.lockstep.AdvanceRequest` objects for its linear
     advances and receives ``(values, record)`` back, so the same solver
-    code runs serially (one engine call per request) or in lockstep with B
-    sibling solves (one ``advance_batch`` call per round).  ``engine`` is
-    kept for construction compatibility but the advances themselves are
-    serviced by whichever driver runs the generator.
+    code runs alone or in lockstep with B sibling solves (one
+    ``advance_batch`` call per round).  ``batch_base=True`` also yields
+    each naive base row (a batch of B > 1 solves); otherwise the rows run
+    inline.
     """
 
     def __init__(
         self,
         params: TreeParams,
         base: int,
-        engine: Optional[AdvanceEngine],
         recorder: Optional[BoundaryRecorder],
         batch_base: bool = False,
     ):
@@ -106,7 +107,6 @@ class _TreeSolver:
         self.taps = tuple(params.taps)
         self.q = len(self.taps) - 1
         self.base = base
-        self.engine = engine
         self.stats = SolveStats()
         self.rec = recorder
         self.scale = params.spec.strike
@@ -180,12 +180,10 @@ class _TreeSolver:
         ``[c0..j_bot]`` of row ``i_top - ell`` and the divider ``j_bot``
         (``c0 - 1`` when no red cell remains at or right of ``c0``).
 
-        Serial solvers (``batch_base=False``) run every row inline —
-        the generator yields nothing and the ``yield from`` call sites
-        behave exactly like the pre-generator plain calls.  Lockstep
-        solvers yield each row as a :class:`BaseRowRequest` (window +
-        green slice spec into the per-solve table) so the driver can
-        stack the B live rows into one
+        A lone solve (``batch_base=False``) runs every row inline — the
+        generator yields nothing here.  A batched solve yields each row
+        as a :class:`BaseRowRequest` (window + green slice spec into the
+        per-solve table) so the driver can stack the B live rows into one
         :meth:`~repro.core.fftstencil.AdvanceEngine.base_rows_batch`
         call per round — bit-identical either way.
         """
@@ -361,7 +359,7 @@ def _tree_solve_gen(
     row — and returns the :class:`TreeFFTResult` (without the
     driver-supplied ``meta["engine"]`` delta) via ``StopIteration``.
     """
-    solver = _TreeSolver(params, base, None, recorder, batch_base)
+    solver = _TreeSolver(params, base, recorder, batch_base)
     q = solver.q
     T = params.steps
 
@@ -473,20 +471,10 @@ def solve_tree_fft(
         (trapezoid interfaces + naive rows) into a
         :class:`~repro.core.boundary.BoundaryRecorder`.
     """
-    _validate_tree_solve(params)
-    base = check_integer("base", base, minimum=1)
-    T = params.steps
-    if tail is None:
-        tail = max(base, isqrt(T))
-    tail = check_integer("tail", tail, minimum=1)
-
-    recorder = BoundaryRecorder() if record_boundary else None
-    if engine is None:
-        engine = AdvanceEngine(policy)
-    engine_before = engine.cache_info()
-    result = drive_serial(_tree_solve_gen(params, base, tail, recorder), engine)
-    result.meta["engine"] = _engine_delta(engine_before, engine.cache_info())
-    return result
+    return solve_tree_fft_batch(
+        [params], base=base, tail=tail, policy=policy, engine=engine,
+        record_boundary=record_boundary,
+    )[0]
 
 
 def solve_tree_fft_batch(
@@ -504,10 +492,12 @@ def solve_tree_fft_batch(
     trajectory, recursion shape and statistics), but the B recursions run
     as generators serviced round-by-round through
     :meth:`~repro.core.fftstencil.AdvanceEngine.advance_batch` — one
-    batched ``rfft``/row-multiply/``irfft`` per round where the serial loop
-    made B Python-level engine calls.  Every row of every batched transform
-    is bit-identical to its standalone advance, so each returned result
-    equals ``solve_tree_fft(params_list[i])`` bit-for-bit.
+    batched ``rfft``/row-multiply/``irfft`` per round instead of B
+    Python-level engine calls — and, for B > 1, their naive base rows
+    through :meth:`~repro.core.fftstencil.AdvanceEngine.base_rows_batch`.
+    Every row of every batched call is bit-identical to its one-row twin,
+    so each returned result equals ``solve_tree_fft(params_list[i])``
+    bit-for-bit.
 
     ``tail=None`` resolves per solve to ``max(base, isqrt(T))`` — mixed
     step counts are allowed (they simply desynchronise the rounds).
@@ -524,13 +514,14 @@ def solve_tree_fft_batch(
     if engine is None:
         engine = AdvanceEngine(policy)
     engine_before = engine.cache_info()
+    batch_base = len(params_list) > 1
     gens = [
         _tree_solve_gen(
             params,
             base,
             tail if tail is not None else max(base, isqrt(params.steps)),
             BoundaryRecorder() if record_boundary else None,
-            batch_base=True,
+            batch_base,
         )
         for params in params_list
     ]

@@ -62,7 +62,7 @@ from repro.core.fftstencil import (
     AdvancePolicy,
     engine_delta,
 )
-from repro.obs import NULL_JOURNAL
+from repro.obs import NULL_JOURNAL, NULL_SPAN
 from repro.obs import active as _tel_active
 from repro.options.contract import OptionSpec
 from repro.parallel.workspan import WorkSpan
@@ -643,17 +643,15 @@ class ScenarioEngine:
             else None
         )
         grid_span = (
-            tel.span(
+            NULL_SPAN
+            if tel is None
+            else tel.span(
                 "grid",
                 cells=len(specs),
                 backend="serial" if serial else self.backend,
             )
-            if tel is not None
-            else None
         )
-        if grid_span is not None:
-            grid_span.__enter__()
-        try:
+        with grid_span:
             if tel is not None and fallback_reason is not None:
                 # every degradation to serial — benign (workers=1, one
                 # chunk) or not (pool unavailable) — is counted by reason
@@ -677,13 +675,13 @@ class ScenarioEngine:
             engine_info: Optional[dict] = None
             rmeta: Optional[dict] = None
             dispatch_span = (
-                tel.span("dispatch", chunks=len(chunks), resilient=resilient)
-                if tel is not None
-                else None
+                NULL_SPAN
+                if tel is None
+                else tel.span(
+                    "dispatch", chunks=len(chunks), resilient=resilient
+                )
             )
-            if dispatch_span is not None:
-                dispatch_span.__enter__()
-            try:
+            with dispatch_span:
                 if serial:
                     if resilient:
                         cells_wall, rmeta, engine_info = (
@@ -700,18 +698,17 @@ class ScenarioEngine:
                             chunk_pricers = (
                                 None if pricers is None else pricers[lo:hi]
                             )
-                            if tel is not None:
-                                with tel.span("chunk", lo=lo, hi=hi):
-                                    chunk_results, seconds = _run_chunk(
-                                        engine, specs[lo:hi], steps, kwargs,
-                                        chunk_pricers,
-                                    )
-                                h_chunk.observe(seconds)
-                            else:
+                            with (
+                                NULL_SPAN
+                                if tel is None
+                                else tel.span("chunk", lo=lo, hi=hi)
+                            ):
                                 chunk_results, seconds = _run_chunk(
                                     engine, specs[lo:hi], steps, kwargs,
                                     chunk_pricers,
                                 )
+                            if h_chunk is not None:
+                                h_chunk.observe(seconds)
                             _rebase_dedup_indices(chunk_results, lo)
                             results[lo:hi] = chunk_results
                             cells_wall += seconds
@@ -746,13 +743,7 @@ class ScenarioEngine:
                             if h_chunk is not None:
                                 h_chunk.observe(seconds)
                         engine_info = _merge_engine_deltas(deltas)
-            finally:
-                if dispatch_span is not None:
-                    dispatch_span.__exit__(None, None, None)
             wall = time.perf_counter() - t0
-        finally:
-            if grid_span is not None:
-                grid_span.__exit__(None, None, None)
         if tel is not None:
             reg = tel.registry
             reg.counter("risk_grids_total", help="grids priced").inc()

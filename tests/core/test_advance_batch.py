@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from repro.core.fftstencil import (
     AdvanceEngine,
     AdvancePolicy,
     engine_delta,
 )
+from repro.core.weights import hstep_weights
 from repro.util.validation import ValidationError
 
 TAPS_A = (0.45, 0.52)
@@ -141,7 +143,6 @@ class TestBlockCache:
         engine.advance_batch(xs, kernels)
         delta = engine_delta(before, engine.cache_info())
         assert delta["advances"] == 3
-        assert delta["batch_advances"] == 3
         assert delta["batched_inputs"] == 9
         assert delta["block_misses"] == 2 and delta["block_hits"] == 1
         assert delta["spectrum_misses"] == 3
@@ -158,16 +159,17 @@ class TestBlockCache:
 
 
 class TestLegacyAndValidation:
-    def test_reuse_false_matches_legacy_per_row(self):
+    def test_rows_match_fftconvolve_reference(self):
+        """Each batch row equals the stateless convolution with the
+        reversed h-step kernel (the pre-engine reference)."""
         rng = np.random.default_rng(4)
         xs = [rng.uniform(0.0, 10.0, size=260) for _ in range(3)]
         kernels = [(TAPS_A, 50), (TAPS_B, 45), (TAPS_C, 60)]
-        legacy = AdvanceEngine(reuse=False)
-        outs, rec = legacy.advance_batch(xs, kernels)
-        assert rec.block_misses == 0 and rec.spectrum_misses == 0
+        outs, rec = AdvanceEngine().advance_batch(xs, kernels)
+        assert rec.spectrum_misses == 3  # one kernel transform per kernel
         for x, (taps, h), y in zip(xs, kernels, outs):
-            y_ref, _ = AdvanceEngine().advance(x, taps, h)
-            np.testing.assert_allclose(y, y_ref, rtol=1e-10, atol=1e-10)
+            ref = fftconvolve(x, hstep_weights(taps, h)[::-1], mode="valid")
+            np.testing.assert_allclose(y, ref, rtol=1e-10, atol=1e-10)
 
     def test_kernel_count_mismatch(self):
         with pytest.raises(ValidationError, match="one kernel per input"):
@@ -185,15 +187,19 @@ class TestLegacyAndValidation:
 
 
 class TestAdvanceManyPerGroup:
-    """Satellite regression: advance_many chooses fft-vs-direct per group."""
+    """Same-kernel batches (the portfolio case) through advance_batch:
+    the fft-vs-direct choice is per row, so an outlier cannot move its
+    siblings off the FFT path."""
 
     def test_outlier_group_does_not_poison_the_batch(self):
         rng = np.random.default_rng(12)
         normal = [rng.uniform(0.0, 100.0, size=300) for _ in range(3)]
         outlier = rng.uniform(0.0, 1e18, size=450)
         engine = AdvanceEngine()
-        ys, rec = engine.advance_many(normal + [outlier], TAPS_A, 60, scale=100.0)
-        # the normal group still consulted the spectrum cache (fft path) …
+        ys, rec = engine.advance_batch(
+            normal + [outlier], [(TAPS_A, 60)] * 4, scales=100.0
+        )
+        # the normal rows still consulted the spectrum cache (fft path) …
         assert rec.spectrum_hits + rec.spectrum_misses == 1
         assert rec.method == "mixed"
         # … and its outputs are the FFT outputs, bit for bit
@@ -211,16 +217,18 @@ class TestAdvanceManyPerGroup:
     def test_uniform_batch_record_unchanged(self):
         rng = np.random.default_rng(13)
         xs = [rng.uniform(0.0, 1.0, size=300) for _ in range(4)]
-        _, rec = AdvanceEngine().advance_many(xs, TAPS_A, 60, scale=1.0)
+        _, rec = AdvanceEngine().advance_batch(
+            xs, [(TAPS_A, 60)] * 4, scales=1.0
+        )
         assert rec.method == "fft" and rec.spectrum_hit is False
         assert rec.batch == 4
 
-    def test_legacy_loop_spans_compose_in_parallel(self):
-        """reuse=False workspan: independent rows must not chain spans."""
+    def test_independent_rows_compose_in_parallel(self):
+        """Batch workspan: independent rows must not chain spans."""
         rng = np.random.default_rng(14)
         xs = [rng.uniform(0.0, 1.0, size=300) for _ in range(4)]
-        legacy = AdvanceEngine(reuse=False)
-        _, one = legacy.advance_many(xs[:1], TAPS_A, 60)
-        _, four = legacy.advance_many(xs, TAPS_A, 60)
+        engine = AdvanceEngine(AdvancePolicy(mode="direct"))
+        _, one = engine.advance_batch(xs[:1], [(TAPS_A, 60)])
+        _, four = engine.advance_batch(xs, [(TAPS_A, 60)] * 4)
         assert four.workspan.work == pytest.approx(4.0 * one.workspan.work)
         assert four.workspan.span == pytest.approx(one.workspan.span)

@@ -4,10 +4,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from repro.core.api import price_american, price_european, price_many
 from repro.core.fftstencil import AdvanceEngine, AdvancePolicy, advance
 from repro.core.tree_solver import solve_tree_fft
+from repro.core.weights import hstep_weights
+from repro.lattice import price_binomial, price_trinomial
 from repro.options.contract import Style, paper_benchmark_spec
 from repro.options.params import BinomialParams, TrinomialParams
 from repro.util.validation import ValidationError
@@ -37,16 +40,15 @@ class TestEngineEquivalence:
         x = rng.uniform(0, 100.0, size=(len(taps) - 1) * h + 41)
         policy = AdvancePolicy(mode=mode)
         engine = AdvanceEngine(policy)
-        legacy = AdvanceEngine(policy, reuse=False)
         y_eng, rec_eng = engine.advance(x, taps, h, scale=100.0)
         y_fn, rec_fn = advance(x, taps, h, scale=100.0, policy=policy)
-        y_old, rec_old = legacy.advance(x, taps, h, scale=100.0)
+        y_old = fftconvolve(x, hstep_weights(taps, h)[::-1], mode="valid")
         ref = naive_steps(x, taps, h)
         for y in (y_eng, y_fn, y_old):
             np.testing.assert_allclose(y, ref, rtol=1e-9, atol=1e-9)
-        assert rec_eng.method == rec_fn.method == rec_old.method
-        # the legacy fftconvolve path never consults the spectrum cache
-        assert rec_old.spectrum_hit is None
+        assert rec_eng.method == rec_fn.method
+        # only the fft path consults the spectrum cache
+        assert (rec_eng.spectrum_hit is None) == (rec_eng.method != "fft")
 
     @pytest.mark.parametrize("taps", [TAPS_2, TAPS_3])
     def test_h0_is_independent_copy(self, taps):
@@ -80,6 +82,8 @@ class TestEngineEquivalence:
 
 
 class TestAdvanceMany:
+    """Same-kernel batches (the portfolio case) through advance_batch."""
+
     @pytest.mark.parametrize("mode", ["auto", "fft", "direct"])
     def test_batched_matches_sequential(self, mode):
         """Mixed lengths; batched outputs == per-input engine advances."""
@@ -90,24 +94,28 @@ class TestAdvanceMany:
             for n in (2 * h + 1, 2 * h + 1, 3 * h + 7, 2 * h + 1, 5 * h)
         ]
         policy = AdvancePolicy(mode=mode)
-        ys, rec = AdvanceEngine(policy).advance_many(xs, TAPS_3, h, scale=50.0)
+        ys, rec = AdvanceEngine(policy).advance_batch(
+            xs, [(TAPS_3, h)] * len(xs), scales=50.0
+        )
         assert rec.batch == len(xs)
         for x, y in zip(xs, ys):
             y_ref, _ = AdvanceEngine(policy).advance(x, TAPS_3, h, scale=50.0)
-            np.testing.assert_allclose(y, y_ref, rtol=1e-10, atol=1e-10)
+            np.testing.assert_array_equal(y, y_ref)
 
     def test_h0_and_empty(self):
         engine = AdvanceEngine()
-        ys, rec = engine.advance_many([np.ones(4), np.zeros(6)], TAPS_2, 0)
+        ys, rec = engine.advance_batch(
+            [np.ones(4), np.zeros(6)], [(TAPS_2, 0)] * 2
+        )
         assert [len(y) for y in ys] == [4, 6] and rec.method == "copy"
-        ys, rec = engine.advance_many([], TAPS_2, 5)
+        ys, rec = engine.advance_batch([], [])
         assert ys == [] and rec.batch == 0
 
     def test_same_length_inputs_share_one_spectrum(self):
         rng = np.random.default_rng(2)
         engine = AdvanceEngine(AdvancePolicy(mode="fft"))
         xs = [rng.uniform(0, 1.0, size=300) for _ in range(8)]
-        engine.advance_many(xs, TAPS_2, 60)
+        engine.advance_batch(xs, [(TAPS_2, 60)] * 8)
         info = engine.cache_info()
         assert info["spectrum_misses"] == 1
         assert info["batched_inputs"] == 8
@@ -118,10 +126,10 @@ class TestAdvanceMany:
         engine = AdvanceEngine(AdvancePolicy(mode="fft"))
         engine.advance(rng.uniform(0, 1.0, size=300), TAPS_2, 60)  # warm len 300
         xs = [rng.uniform(0, 1.0, size=n) for n in (300, 300, 450)]
-        _, rec = engine.advance_many(xs, TAPS_2, 60)
+        _, rec = engine.advance_batch(xs, [(TAPS_2, 60)] * 3)
         assert rec.spectrum_hits == 1 and rec.spectrum_misses == 1
         assert rec.spectrum_hit is False  # one group missed
-        _, rec2 = engine.advance_many(xs, TAPS_2, 60)
+        _, rec2 = engine.advance_batch(xs, [(TAPS_2, 60)] * 3)
         assert rec2.spectrum_hit is True and rec2.spectrum_misses == 0
 
 
@@ -140,10 +148,11 @@ class TestEngineInSolvers:
     @pytest.mark.parametrize("T", [512, 1023])
     @pytest.mark.parametrize("cls", [BinomialParams, TrinomialParams])
     def test_engine_price_matches_legacy_solver(self, T, cls):
+        """The engine-driven solve prices as the Θ(T²) loop lattice."""
         params = cls.from_spec(SPEC, T)
         new = solve_tree_fft(params, engine=AdvanceEngine())
-        old = solve_tree_fft(params, engine=AdvanceEngine(reuse=False))
-        assert new.price == pytest.approx(old.price, rel=1e-10)
+        loop = price_binomial if cls is BinomialParams else price_trinomial
+        assert new.price == pytest.approx(loop(SPEC, T).price, rel=1e-10)
 
     def test_shared_engine_across_solves(self):
         """A second same-parameter solve starts warm (cross-solve reuse)."""
@@ -164,6 +173,23 @@ class TestEngineInSolvers:
         # warm second solve transforms no kernels at all
         assert r2.meta["engine"]["spectrum_misses"] == 0
         assert r2.meta["engine"]["spectrum_hits"] > 0
+
+    def test_meta_engine_deltas_sum_to_the_shared_engine(self):
+        """Every counter of cache_info is per-solve in meta["engine"]: two
+        solves on one shared engine account for all of its activity."""
+        from repro.core.bsm_solver import solve_bsm_fft
+        from repro.options.contract import Right
+        from repro.options.params import BSMGridParams
+
+        engine = AdvanceEngine()
+        put = dataclasses.replace(SPEC, right=Right.PUT, dividend_yield=0.0)
+        r1 = solve_tree_fft(BinomialParams.from_spec(SPEC, 512), engine=engine)
+        r2 = solve_bsm_fft(BSMGridParams.from_spec(put, 512), engine=engine)
+        info = engine.cache_info()
+        counters = [k for k in info if not k.startswith("cached_")]
+        assert counters and info["advances"] > 0
+        for key in counters:
+            assert r1.meta["engine"][key] + r2.meta["engine"][key] == info[key]
 
     def test_default_engine_is_thread_safe(self):
         """Concurrent stateless advance() calls don't share scratch buffers."""

@@ -63,7 +63,8 @@ class TestTreeModels:
         ]
         engine = AdvanceEngine()
         results = solve_batch(specs, 128, model=model, engine=engine)
-        assert engine.cache_info()["batch_advances"] > 0
+        info = engine.cache_info()
+        assert info["batched_inputs"] > info["advances"]  # rounds ran wide
         for spec, r in zip(specs, results):
             _agree(r, price_american(spec, 128, model=model))
             assert r.meta["batched"] is True and r.meta["batch_size"] == 4
@@ -110,7 +111,8 @@ class TestBSMModel:
         specs = self._puts()
         engine = AdvanceEngine()
         results = solve_batch(specs, 200, model="bsm-fd", engine=engine)
-        assert engine.cache_info()["batch_advances"] > 0
+        info = engine.cache_info()
+        assert info["batched_inputs"] > info["advances"]  # rounds ran wide
         for spec, r in zip(specs, results):
             _agree(r, price_american(spec, 200, model="bsm-fd"))
 
@@ -173,8 +175,9 @@ class TestGridRouting:
         engine = AdvanceEngine()
         results = price_many(specs, 96, engine=engine)
         info = engine.cache_info()
-        assert info["batch_advances"] > 0
-        assert info["batched_inputs"] > len(specs)  # lockstep rounds ran wide
+        assert info["batched_inputs"] > info["advances"]  # rounds ran wide
+        # the American solves stacked their base rows across solves too
+        assert info["base_batch_rows"] > info["base_batch_calls"]
         for spec, r in zip(specs, results):
             ref = (
                 price_european(spec, 96)
@@ -182,3 +185,29 @@ class TestGridRouting:
                 else price_american(spec, 96)
             )
             _agree(r, ref)
+
+
+class TestOneContractPathIdentity:
+    """A lone solve runs the same code whichever front door it enters by:
+    ``price_american``, a one-contract ``solve_batch`` and a one-contract
+    ``price_many`` agree on the price and on every ``stats`` counter."""
+
+    @pytest.mark.parametrize(
+        "model, right",
+        [
+            ("binomial", Right.CALL),
+            ("trinomial", Right.CALL),
+            ("binomial", Right.PUT),  # priced as its McDonald–Schroder dual
+            ("bsm-fd", Right.PUT),
+        ],
+    )
+    def test_front_doors_agree(self, model, right):
+        spec = dataclasses.replace(SPEC, right=right)
+        if model == "bsm-fd":  # the FD put formulation takes no dividend
+            spec = dataclasses.replace(spec, dividend_yield=0.0)
+        single = price_american(spec, 96, model=model)
+        batched = solve_batch([spec], 96, model=model)[0]
+        many = price_many([spec], 96, model=model)[0]
+        assert single.price == batched.price == many.price
+        assert single.stats == batched.stats == many.stats
+        assert single.stats["base_batch_rows"] == 0  # rows ran inline

@@ -183,12 +183,10 @@ class TestDividerExit:
     """naive_descend's early exit when the divider leaves the window."""
 
     def _solver(self, T=16):
-        from repro.core.fftstencil import AdvanceEngine
         from repro.core.tree_solver import _TreeSolver
 
         return _TreeSolver(
-            BinomialParams.from_spec(SPEC, T), base=8, engine=AdvanceEngine(),
-            recorder=None,
+            BinomialParams.from_spec(SPEC, T), base=8, recorder=None
         )
 
     def test_early_exit_returns_float64_empty(self):

@@ -60,7 +60,8 @@ class TestLockstepAgreement:
         specs, quotes = build_ladder(6)
         engine = AdvanceEngine()
         implied_vol_many(specs, quotes, STEPS, engine=engine, lockstep=True)
-        assert engine.cache_info()["batch_advances"] > 0
+        info = engine.cache_info()
+        assert info["batched_inputs"] > info["advances"]  # rounds ran wide
 
     def test_empty_ladder(self):
         report = implied_vol_many([], [], STEPS, lockstep=True)

@@ -111,3 +111,21 @@ class TestFullPricingStack:
         bm = price_bermudan(put, 256, [64, 128, 192], method="fft").price
         am = price_american(put, 256, method="fft").price
         assert eu - 1e-10 <= bm <= am + 1e-10
+
+
+class TestImportFootprint:
+    def test_import_leaves_scipy_signal_unloaded(self):
+        """``import repro`` pulls in no ``scipy.signal`` (about half the
+        package's import time when it did)."""
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro; print('scipy.signal' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "False"
