@@ -7,7 +7,9 @@ expiry row to the root.  *Bermudan* contracts — exercisable on a finite set
 of dates, listed in the paper's future work (§6) — sit in between: the grid
 is linear between consecutive exercise rows, so the sweep is a chain of FFT
 jumps with one vectorised ``max`` per exercise date:
-``O((k+1) · T log T)`` work for ``k`` exercise dates.
+``O((k+1) · T log T)`` work for ``k`` exercise dates.  Each solve is a
+generator whose jumps :func:`~repro.core.lockstep.drive_lockstep` batches
+across contracts; the exercise-date max runs inline.
 
 Unlike the American solvers these maintain *full* rows (the red–green
 contiguity lemmas do not apply between exercise dates), so no divider
@@ -22,7 +24,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from repro.core.fftstencil import DEFAULT_POLICY, AdvanceEngine, AdvancePolicy
-from repro.core.lockstep import AdvanceRequest, BaseRowRequest, drive_lockstep
+from repro.core.lockstep import AdvanceRequest, drive_lockstep
 from repro.core.metrics import SolveStats
 from repro.core.tree_solver import TreeFFTResult
 from repro.options.contract import Right
@@ -62,20 +64,11 @@ def _jump_jobs(T: int, q: int, checkpoints: Sequence[int]) -> list[tuple[int, in
     return jobs
 
 
-#: Identity stencil for exercise-date max rows (no taps, pure max vs green).
-_EMPTY_TAPS = np.empty(0, dtype=np.float64)
-
-
-def _bermudan_gen(params: TreeParams, rows: list[int], batch_base: bool = False):
+def _bermudan_gen(params: TreeParams, rows: list[int]):
     """Generator body of one Bermudan/European jump-chain solve.
 
     Yields :class:`~repro.core.lockstep.AdvanceRequest` for the checkpoint
-    jumps; with ``batch_base=True`` (a batch of B > 1 contracts) the
-    exercise-date max rows are yielded as identity-stencil
-    :class:`~repro.core.lockstep.BaseRowRequest` (``keep="max"``, no
-    divider scan) so the B contracts take their vectorised max in one
-    stacked engine call per exercise round.  A lone contract applies the
-    max inline.
+    jumps and applies each exercise date's vectorised max inline.
     """
     T = params.steps
     spec = params.spec
@@ -89,11 +82,6 @@ def _bermudan_gen(params: TreeParams, rows: list[int], batch_base: bool = False)
 
     current = T
     exercise_rows = set(rows)
-    req = (
-        BaseRowRequest(taps=_EMPTY_TAPS, keep="max", scan=False)
-        if batch_base
-        else None
-    )
     for row in _checkpoints(rows):
         h = current - row
         if h > 0:
@@ -107,13 +95,7 @@ def _bermudan_gen(params: TreeParams, rows: list[int], batch_base: bool = False)
             exer = np.asarray(
                 params.exercise_value(row, np.arange(q * row + 1)), dtype=np.float64
             )
-            if req is not None:
-                req.values = values
-                req.green = exer
-                values, _ = yield req
-                stats.base_batch_rows += 1
-            else:
-                np.maximum(values, exer, out=values)
+            np.maximum(values, exer, out=values)
             ws = ws.then(rows_cost(1, q * row + 1, 1))
             stats.cells_evaluated += q * row + 1
 
@@ -164,9 +146,7 @@ def price_tree_bermudan_fft_batch(
     ``exercise_steps`` is either one schedule shared by every contract or a
     per-contract sequence of schedules (one entry per ``params_list``
     element).  Checkpoint jumps batch through
-    :meth:`~repro.core.fftstencil.AdvanceEngine.advance_batch` and, for
-    B > 1, the exercise-date max rows through
-    :meth:`~repro.core.fftstencil.AdvanceEngine.base_rows_batch`; every
+    :meth:`~repro.core.fftstencil.AdvanceEngine.advance_batch`; every
     result is bit-identical to its ``price_tree_bermudan_fft`` twin.
     """
     es = list(exercise_steps)
@@ -181,13 +161,12 @@ def price_tree_bermudan_fft_batch(
         schedules = [es] * len(params_list)
     if engine is None:
         engine = AdvanceEngine(policy)
-    batch_base = len(params_list) > 1
     gens = []
     for params, sched in zip(params_list, schedules):
         rows = _validated_rows(params.steps, sched)
         q = len(params.taps) - 1
         engine.prepare(params.taps, _jump_jobs(params.steps, q, _checkpoints(rows)))
-        gens.append(_bermudan_gen(params, rows, batch_base))
+        gens.append(_bermudan_gen(params, rows))
     results: list[TreeFFTResult] = drive_lockstep(gens, engine)
     for result in results:
         result.meta["batched"] = True

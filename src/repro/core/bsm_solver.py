@@ -20,6 +20,11 @@ window ``[k_lo..k_hi]`` returns ``(values on [k_lo+h .. k_hi-h], f')`` where
 ``< k_lo + h`` means "every output cell is red; the divider lies left of the
 window".  The composition rules in :meth:`_BSMSolver.advance` preserve these
 semantics (see docs/DESIGN.md §2.4 for the case analysis).
+
+Every solve is a generator driven by
+:func:`~repro.core.lockstep.drive_lockstep`: it yields its linear jumps,
+which the driver batches across solves, and runs its naive rows inline at
+every batch width (docs/DESIGN.md §7.6).
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from repro.core.fftstencil import (
     engine_delta as _engine_delta,
     row_correlate,
 )
-from repro.core.lockstep import AdvanceRequest, BaseRowRequest, drive_lockstep
+from repro.core.lockstep import AdvanceRequest, drive_lockstep
 from repro.core.metrics import SolveStats
 from repro.options.params import BSMGridParams
 from repro.parallel.workspan import WorkSpan, rows_cost
@@ -62,15 +67,13 @@ class BSMFFTResult:
 class _BSMSolver:
     """One fft-bsm solve's state; :meth:`advance` is a generator that
     yields :class:`~repro.core.lockstep.AdvanceRequest` for its linear
-    jumps (docs/DESIGN.md §7) — and, with ``batch_base=True`` (a batch of
-    B > 1 solves), each naive row."""
+    jumps (docs/DESIGN.md §7) and runs its naive rows inline."""
 
     def __init__(
         self,
         params: BSMGridParams,
         base: int,
         recorder: Optional[BoundaryRecorder],
-        batch_base: bool = False,
     ):
         self.p = params
         self.taps = tuple(params.taps)  # (coef_down, coef_mid, coef_up)
@@ -86,20 +89,6 @@ class _BSMSolver:
         )
         self._tab_off = T
         self._taps_arr = np.asarray(self.taps, dtype=np.float64)
-        # Lockstep base rows (docs/DESIGN.md §7.6): the FD row keeps the
-        # full ``maximum(cont, payoff)`` update, so ``keep="max"`` with the
-        # payoff table as the green slice spec.  One reused request object.
-        self._req: Optional[BaseRowRequest] = (
-            BaseRowRequest(
-                taps=self._taps_arr,
-                table=self._pay_tab,
-                g_stride=1,
-                keep="max",
-                scan=True,
-            )
-            if batch_base
-            else None
-        )
 
     def payoff(self, lo: int, hi: int) -> np.ndarray:
         """Signed green values ``1 - e^{s_k}`` for ``k = lo..hi`` (a view)."""
@@ -115,32 +104,22 @@ class _BSMSolver:
     def naive(self, values: np.ndarray, k_lo: int, f: int, h: int, n0: int):
         """``h`` max-rule rows over the shrinking cone window (base case).
 
-        A generator returning ``(values, f, workspan)`` via
-        ``StopIteration``.  A lone solve runs every row inline (no
-        yields); a batched solve yields each row as a
-        :class:`BaseRowRequest` so the driver batches the B live rows —
-        bit-identical either way.
+        Returns ``(values, f, workspan)``.  Every row runs inline — one
+        ``np.correlate``, one payoff slice, one divider scan — whatever
+        batch the solve rides in (docs/DESIGN.md §7.6).
         """
         cur = values
         lo = k_lo
         ws = WorkSpan.ZERO
-        req = self._req
         stats = self.stats
         stats.base_cases += 1
         for step in range(1, h + 1):
             lo += 1
             width = len(cur) - 2
-            if req is not None:
-                req.values = cur
-                req.g_start = lo + self._tab_off
-                cur, d = yield req
-                f = lo + d
-                stats.base_batch_rows += 1
-            else:
-                cont = row_correlate(cur, self._taps_arr)
-                pay = self.payoff(lo, lo + width - 1)
-                f = lo + scan_prefix_boundary(pay >= cont)
-                cur = np.maximum(cont, pay)
+            cont = row_correlate(cur, self._taps_arr)
+            pay = self.payoff(lo, lo + width - 1)
+            f = lo + scan_prefix_boundary(pay >= cont)
+            cur = np.maximum(cont, pay)
             stats.cells_evaluated += width
             stats.base_rows += 1
             ws = ws.then(rows_cost(1, width, 3))
@@ -179,7 +158,7 @@ class _BSMSolver:
             # Base case, or the divider sits too close to the window's right
             # edge for a clean split (only reachable at tiny T or extreme
             # moneyness) — the naive sweep is exact for any configuration.
-            return (yield from self.naive(values, k_lo, f, h, n0))
+            return self.naive(values, k_lo, f, h, n0)
 
         self.stats.trapezoids += 1
         mid_lo, mid_hi = k_lo + h1, k_hi - h1
@@ -234,18 +213,15 @@ def _bsm_solve_gen(
     params: BSMGridParams,
     base: int,
     recorder: Optional[BoundaryRecorder],
-    batch_base: bool = False,
 ):
     """Generator body of one fft-bsm solve.
 
     Yields :class:`~repro.core.lockstep.AdvanceRequest` for every linear
-    jump — plus, with ``batch_base=True``,
-    :class:`~repro.core.lockstep.BaseRowRequest` for every naive row — and
-    returns the :class:`BSMFFTResult` (without the driver-supplied
+    jump and returns the :class:`BSMFFTResult` (without the driver-supplied
     ``meta["engine"]`` delta) via ``StopIteration``.
     """
     T = params.steps
-    solver = _BSMSolver(params, base, recorder, batch_base)
+    solver = _BSMSolver(params, base, recorder)
 
     pay0 = solver.payoff(-T, T)
     vals = np.maximum(pay0, 0.0)
@@ -264,7 +240,7 @@ def _bsm_solve_gen(
     remaining = T
     while remaining > 0:
         if remaining <= 2 * base:
-            vals, f, w = yield from solver.naive(vals, k_lo, f, remaining, n0)
+            vals, f, w = solver.naive(vals, k_lo, f, remaining, n0)
             ws = ws.then(w)
             k_lo += remaining
             n0 += remaining
@@ -330,24 +306,19 @@ def solve_bsm_fft_batch(
     :func:`~repro.core.tree_solver.solve_tree_fft_batch`: each grid runs
     its own cone recursion as a generator, and every round's outstanding
     linear jumps are serviced by one
-    :meth:`~repro.core.fftstencil.AdvanceEngine.advance_batch` call (and,
-    for B > 1, its naive rows by one
-    :meth:`~repro.core.fftstencil.AdvanceEngine.base_rows_batch` call).
-    Each result is bit-identical to ``solve_bsm_fft(params_list[i])``;
-    ``meta["engine"]`` carries the batch-wide engine delta and
-    ``meta["batched"]``/``meta["batch_size"]`` the lockstep provenance.
+    :meth:`~repro.core.fftstencil.AdvanceEngine.advance_batch` call; naive
+    rows run inline in each solve.  Each result is bit-identical to
+    ``solve_bsm_fft(params_list[i])``; ``meta["engine"]`` carries the
+    batch-wide engine delta and ``meta["batched"]``/``meta["batch_size"]``
+    the lockstep provenance.
     """
     base = check_integer("base", base, minimum=1)
     if engine is None:
         engine = AdvanceEngine(policy)
     engine_before = engine.cache_info()
-    batch_base = len(params_list) > 1
     gens = [
         _bsm_solve_gen(
-            params,
-            base,
-            BoundaryRecorder() if record_boundary else None,
-            batch_base,
+            params, base, BoundaryRecorder() if record_boundary else None
         )
         for params in params_list
     ]

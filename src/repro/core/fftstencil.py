@@ -26,7 +26,9 @@ workhorse (docs/DESIGN.md §7).  Rows group by padded length, multiply
 row-wise by a cached stacked kernel-spectrum block, and transform in one
 batched pair, with per-row robustness decisions and per-row accounting; a
 one-row call (every advance of a lone solve) skips the grouping.
-:meth:`AdvanceEngine.advance` is that one-row call.
+:meth:`AdvanceEngine.advance` is that one-row call.  The engine serves
+linear advances only: the solvers' naive base-case rows run inline, one
+:data:`row_correlate` per row, at every batch width (docs/DESIGN.md §7.6).
 
 Numerical-robustness extension (documented in docs/DESIGN.md §1): FFT
 convolution carries an *absolute* error ~``eps * ||x||_2 * ||W||_2``, so when
@@ -38,7 +40,6 @@ never triggers the fallback; the Y=0 all-red regime does.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Literal, Optional, Sequence, Tuple
@@ -46,7 +47,6 @@ from typing import Callable, Iterable, Literal, Optional, Sequence, Tuple
 import numpy as np
 from scipy import fft as sfft
 
-from repro.core.boundary import scan_prefix_boundary
 from repro.core.weights import hstep_weights
 from repro.parallel.workspan import WorkSpan, fft_cost
 from repro.util.validation import ValidationError, check_integer
@@ -99,13 +99,6 @@ MAX_BLOCK_ELEMENTS = 1 << 21
 #: from pinning unbounded memory.
 MAX_SPECTRA_BYTES = 64 * (1 << 20)
 
-#: Byte budget for the flat green/payoff-table block behind
-#: :meth:`AdvanceEngine.base_rows_batch`.  Tables are per-solve (a fresh
-#: batch registers fresh tables), so the block is cleared wholesale when
-#: it outgrows the budget — registration is one memcpy per table and the
-#: next round simply re-registers whatever is still live.
-MAX_TABLE_BYTES = 64 * (1 << 20)
-
 #: Longest kernel the stacked direct path may serve with the broadcast
 #: multiply-accumulate.  ``np.correlate`` accumulates left-to-right (the
 #: MAC's order) only through numpy's ``small_correlate`` fast path, which
@@ -114,59 +107,8 @@ MAX_TABLE_BYTES = 64 * (1 << 20)
 #: Measured, not documented — the bit-agreement tests re-verify it.
 MAC_STACK_MAX_KERNEL = 11
 
-#: Environment flag enabling the optional Numba fast path of
-#: :meth:`AdvanceEngine.base_rows_batch` (a compiled multiply-accumulate +
-#: divider scan over the stacked rows).  Off by default; silently falls
-#: back to the vectorised NumPy kernel when Numba is not installed — the
-#: two paths accumulate in the same order and are bit-identical.
-NUMBA_ENV_FLAG = "REPRO_NUMBA"
-
-_numba_checked = False
-_numba_mac_kernel: Optional[Callable] = None
-
 #: dtype singleton for the advance_batch contiguity fast path
 _F64 = np.dtype(np.float64)
-
-#: Shared zero-length reply for degenerate (empty-window) base rows —
-#: nothing to mutate, so one instance serves every caller.
-_EMPTY_ROW = np.empty(0, dtype=np.float64)
-_EMPTY_ROW.setflags(write=False)
-
-
-def _load_numba_mac() -> Optional[Callable]:
-    """Compile (once) the Numba base-row MAC kernel; None when unavailable."""
-    global _numba_checked, _numba_mac_kernel
-    if _numba_checked:
-        return _numba_mac_kernel
-    _numba_checked = True
-    try:
-        import numba
-    except Exception:
-        return None
-
-    @numba.njit(cache=False, fastmath=False)  # fastmath off: bit-identity
-    def _mac(X, tc, out):
-        G, n = out.shape
-        nt = tc.shape[1]
-        for r in range(G):
-            for j in range(n):
-                acc = tc[r, 0] * X[r, j]
-                for k in range(1, nt):
-                    acc += tc[r, k] * X[r, j + k]
-                out[r, j] = acc
-
-    _numba_mac_kernel = _mac
-    return _mac
-
-
-@dataclass
-class BaseRowsRecord:
-    """Bookkeeping for one :meth:`AdvanceEngine.base_rows_batch` call."""
-
-    rows: int
-    groups: int
-    workspan: WorkSpan
-
 
 @dataclass
 class AdvanceRecord:
@@ -269,16 +211,12 @@ class AdvanceEngine:
         max_scratch: int = 64,
         max_blocks: int = 16,
         max_weights: int = 4096,
-        use_numba: Optional[bool] = None,
     ):
         self.policy = policy
         self.max_spectra = max_spectra
         self.max_scratch = max_scratch
         self.max_blocks = max_blocks
         self.max_weights = max_weights
-        if use_numba is None:
-            use_numba = os.environ.get(NUMBA_ENV_FLAG, "") not in ("", "0")
-        self._numba_mac = _load_numba_mac() if use_numba else None
         #: Optional zero-arg cooperative-interrupt hook, invoked at every
         #: advance entry (see :meth:`_tick`).  The resilience tier binds a
         #: deadline here (``engine.checkpoint = deadline.checkpoint``) so a
@@ -291,26 +229,11 @@ class AdvanceEngine:
         self._fast_len: dict[int, int] = {}
         self._weights: dict[tuple, np.ndarray] = {}
         self._blocks: dict[tuple, np.ndarray] = {}
-        # Flat green/payoff-table block for base_rows_batch: per-solver
-        # tables are registered once (id-keyed; the entry holds a reference
-        # so the id stays valid) and copied into one growable buffer the
-        # stacked green gathers index.
-        self._tables: dict[int, tuple[np.ndarray, int]] = {}
-        self._table_buf: Optional[np.ndarray] = None
-        self._table_used = 0
-        # epoch token for request-side offset caching (BaseRowRequest.bkey);
-        # replaced whenever registered offsets are invalidated
-        self._ckey: object = object()
-        # shared arange scratch for the stacked green gathers (views of a
-        # growable buffer replace one np.arange per group per round)
+        # shared arange and ragged-stack scratch for advance_batch's
+        # scatters (views of growable buffers replace one np.arange /
+        # np.zeros per group per round)
         self._ar: Optional[np.ndarray] = None
         self._xscratch: Optional[np.ndarray] = None
-        # per-group stacked taps, reused across rounds: a descent serves
-        # the same solver set for ~base consecutive rounds, and taps are
-        # fixed per request, so the (G, nt) matrix recurs call after call.
-        # Validated per use by element-identity against the group's tap
-        # arrays — any membership churn rebuilds.
-        self._tc_cache: dict[int, tuple[list, np.ndarray]] = {}
         # Block keys seen exactly once: a block is only materialised (rows
         # stacked into one array) when its key *recurs* — one-shot batch
         # shapes (a heterogeneous grid priced once) never pay the copies.
@@ -322,25 +245,20 @@ class AdvanceEngine:
         self.batched_inputs = 0
         self.block_hits = 0
         self.block_misses = 0
-        self.base_batch_calls = 0
-        self.base_batch_rows = 0
-        self.base_block_hits = 0
-        self.base_block_misses = 0
         self.checkpoints = 0
         #: Normalised telemetry handle (``None`` when disabled) — see
         #: :meth:`set_telemetry`.  Hot paths guard on ``is not None`` so
         #: the disabled engine pays one attribute test per *batch* call.
         self.telemetry = None
         self._h_batch_rows = None
-        self._h_base_rows = None
 
     def set_telemetry(self, telemetry, *, register: bool = True) -> None:
         """Attach (or detach, with ``None``) a telemetry handle.
 
         The engine's existing counters re-register into the registry as
         an ``engine_*`` collector — the registry reads :meth:`cache_info`
-        live at export time, so there is no second set of books — and the
-        two batch entry points gain batch-width histograms.  The lockstep
+        live at export time, so there is no second set of books — and
+        :meth:`advance_batch` gains a batch-width histogram.  The lockstep
         driver reads ``engine.telemetry`` to place its round spans, so
         attaching here instruments every solve run through this engine.
 
@@ -348,7 +266,7 @@ class AdvanceEngine:
         strong reference to each collector, so *per-call* engines (one
         grid, one coalesced bucket) must not register — their owner folds
         the counter delta into plain counters instead — while still
-        getting spans and batch-width histograms.
+        getting spans and the batch-width histogram.
         """
         from .. import obs
 
@@ -356,16 +274,11 @@ class AdvanceEngine:
         self.telemetry = tel
         if tel is None:
             self._h_batch_rows = None
-            self._h_base_rows = None
             return
         if register:
             tel.registry.register_collector("engine", self.cache_info)
         self._h_batch_rows = tel.histogram(
             "engine_advance_batch_rows", help="rows per advance_batch call"
-        )
-        self._h_base_rows = tel.histogram(
-            "engine_base_rows_batch_rows",
-            help="rows per base_rows_batch call",
         )
 
     def _tick(self) -> None:
@@ -448,10 +361,6 @@ class AdvanceEngine:
             "batched_inputs": self.batched_inputs,
             "block_hits": self.block_hits,
             "block_misses": self.block_misses,
-            "base_batch_calls": self.base_batch_calls,
-            "base_batch_rows": self.base_batch_rows,
-            "base_block_hits": self.base_block_hits,
-            "base_block_misses": self.base_block_misses,
             "checkpoints": self.checkpoints,
         }
 
@@ -798,7 +707,7 @@ class AdvanceEngine:
                 continue
             # ragged stack: rows share the kernel length but not the input
             # length — pad to the longest row (junk tails the per-row
-            # output slices never read), exactly like base_rows_batch
+            # output slices never read)
             Gd = len(d_idxs)
             d_arrs = [arrs[i] for i in d_idxs]
             d_lens = [a.shape[0] for a in d_arrs]
@@ -958,375 +867,12 @@ class AdvanceEngine:
         )
 
 
-    # ------------------------------------------------------------------ #
-    # Batched naive base rows (docs/DESIGN.md §7.6)
-    # ------------------------------------------------------------------ #
-    def _table_offset(self, table: np.ndarray) -> int:
-        """Offset of ``table`` inside the flat green-table block.
-
-        Registers the table on first sight: one memcpy into a growable
-        flat buffer.  Keyed by ``id`` — the entry keeps a reference, so
-        the id cannot be recycled while the entry lives.
-        """
-        key = id(table)
-        ent = self._tables.get(key)
-        if ent is not None:
-            return ent[1]
-        self.base_block_misses += 1
-        ln = table.shape[0]
-        used = self._table_used
-        buf = self._table_buf
-        if buf is None or used + ln > buf.shape[0]:
-            cap = max(
-                2 * (buf.shape[0] if buf is not None else 0), used + ln, 8192
-            )
-            grown = np.empty(cap, dtype=np.float64)
-            if used:
-                grown[:used] = buf[:used]
-            self._table_buf = buf = grown
-        buf[used : used + ln] = table
-        self._tables[key] = (table, used)
-        self._table_used = used + ln
-        return used
-
     def _arange(self, n: int) -> np.ndarray:
         """A ``>= n``-long cached ``arange`` (callers slice what they need)."""
         ar = self._ar
         if ar is None or ar.shape[0] < n:
             self._ar = ar = np.arange(max(2 * n, 256), dtype=np.intp)
         return ar
-
-    def _base_row_one(
-        self, req, nt: int, n: int, keep: str, scan: bool
-    ) -> tuple[np.ndarray, int]:
-        """Serve one base row alone — the same ops a serial row performs."""
-        v = req.values
-        el = req.e_len
-        if el:
-            off = self._table_offset(req.table)
-            s = off + req.e_start
-            ext = self._table_buf[s : s + req.g_stride * el : req.g_stride]
-            x = np.concatenate([v, ext])
-        else:
-            x = v
-        cont = np.correlate(x, req.taps, mode="valid") if nt else x
-        if req.table is not None:
-            off = self._table_offset(req.table)
-            s = off + req.g_start
-            grn = self._table_buf[s : s + req.g_stride * n : req.g_stride]
-        else:
-            grn = req.green
-        if keep == "prefix":
-            d = scan_prefix_boundary(cont >= grn)
-            return cont[: d + 1].copy(), d
-        d = scan_prefix_boundary(grn >= cont) if scan else -1
-        return np.maximum(cont, grn), d
-
-    def base_rows_batch(
-        self, reqs: Sequence
-    ) -> tuple[list[np.ndarray], list[int], BaseRowsRecord]:
-        """Serve B naive base-case rows (one per live solver) in one call.
-
-        The nonlinear sibling of :meth:`advance_batch` and the other half
-        of the lockstep protocol (docs/DESIGN.md §7.6).  ``reqs`` are
-        :class:`~repro.core.lockstep.BaseRowRequest`-shaped objects; rows
-        group by ``(tap count, row length, keep-mode)``, each group is
-        stacked into a ``(G, n+q)`` array, the direct convolutions run as
-        one vectorised multiply-accumulate per tap (left-to-right, the
-        same accumulation order as a serial ``np.correlate`` row — the
-        bit-agreement tests pin the equivalence), the green comparison
-        rows are gathered from the registered per-solver tables in one
-        fancy index, and the max rule + divider scan
-        (:func:`~repro.core.boundary.scan_prefix_boundary`, vectorised as
-        a row-wise ``argmin``) run per group.  Returns ``(values,
-        dividers, record)`` with per-row outputs in input order.
-
-        ``base_block_misses`` counts green tables copied into the flat
-        block (once per solver table); ``base_block_hits`` counts stacked
-        gathers served entirely from already-registered tables — a warm
-        batch round touches no table memory beyond the gather itself.
-        """
-        self._tick()
-        B = len(reqs)
-        self.base_batch_calls += 1
-        self.base_batch_rows += B
-        if self.telemetry is not None:
-            self._h_base_rows.observe(B)
-        outs: list[Optional[np.ndarray]] = [None] * B
-        divs: list[int] = [-1] * B
-        if not B:
-            return [], [], BaseRowsRecord(0, 0, WorkSpan.ZERO)
-        if self._table_used * 8 > MAX_TABLE_BYTES:
-            # tables are per-solve; drop the block wholesale and let live
-            # solvers re-register (offsets are never held across calls)
-            self._tables.clear()
-            self._table_used = 0
-            self._ckey = object()
-
-        # ---- one fused sweep: group rows and collect their metadata ----
-        # Rows group by the request's precomputed ``kcode`` (tap count,
-        # keep, scan — fixed per request, so derived once in its
-        # constructor) plus the row length's *bit length*.  Exact lengths
-        # deliberately do not key the grouping: a heterogeneous round
-        # scatters its rows across dozens of lengths, and per-length
-        # groups would each pay the full set of numpy fixed costs.  The
-        # geometric bucket instead stacks near-length rows into one
-        # ragged super-group padded to the bucket's longest row (≤ 2x
-        # pad waste) and masks the tails in the divider scan — the pad
-        # columns are junk that no output ever reads.
-        # Group layout: [idxs, values, lengths, first request,
-        # plain-green count, cold-table count, taps, e_len, e_off,
-        # g_off] — parallel per-field lists, so the group body reads
-        # columns directly instead of transposing B row tuples.  The
-        # green stride needs no per-row column: it is baked into
-        # ``kcode``, so every group is stride-uniform by construction.
-        groups: dict[int, list] = {}
-        gget = groups.get
-        toff = self._table_offset
-        ck = self._ckey
-        for i, r in enumerate(reqs):
-            v = r.values
-            el = r.e_len
-            n = v.shape[0] + el + r.noff
-            key = (n.bit_length() << 28) | r.kcode
-            g = gget(key)
-            if g is None:
-                groups[key] = g = [[], [], [], r, 0, 0, [], [], [], []]
-            tab = r.table
-            if tab is not None:
-                if r.bkey is ck:
-                    off = r.boff
-                else:
-                    mb = self.base_block_misses
-                    off = toff(tab)
-                    if self.base_block_misses != mb:
-                        g[5] += 1
-                    r.boff = off
-                    r.bkey = ck
-                if n <= 0:
-                    outs[i] = _EMPTY_ROW
-                    continue
-                g[0].append(i)
-                g[1].append(v)
-                g[2].append(n)
-                g[6].append(r.taps)
-                g[7].append(el)
-                g[8].append(off + r.e_start if el else 0)
-                g[9].append(off + r.g_start)
-            else:
-                if n <= 0:
-                    outs[i] = _EMPTY_ROW
-                    continue
-                g[0].append(i)
-                g[1].append(v)
-                g[2].append(n)
-                g[4] += 1
-                g[6].append(r.taps)
-                g[7].append(0)
-                g[8].append(0)
-                g[9].append(0)
-
-        total_cells = 0
-        numba_mac = self._numba_mac
-        for key, g in groups.items():
-            idxs = g[0]
-            G = len(idxs)
-            if G == 0:
-                continue
-            r0 = g[3]
-            nt = (r0.kcode >> 3) & 0x1FFFF
-            lens = g[2]
-            keep = r0.keep
-            scan = r0.scan
-            total_cells += sum(lens)
-            if G == 1:
-                i = idxs[0]
-                outs[i], divs[i] = self._base_row_one(
-                    reqs[i], nt, lens[0], keep, scan
-                )
-                continue
-            if g[5] == 0:
-                self.base_block_hits += 1
-            plain_green = g[4] > 0
-            q = nt - 1 if nt else 0
-            n = max(lens)
-            ragged = min(lens) != n
-            m = n + q
-            vlist = g[1]
-            tlist = g[6]
-            el_l = g[7]
-            eo_l = g[8]
-            go_l = g[9]
-            buf = self._table_buf
-            # stride-uniform by construction (stride is part of kcode), so
-            # gather indices build from the cached arange with one
-            # broadcast add instead of a per-row multiply
-            st0 = r0.g_stride
-            # ---- stack the windows into a (G, m) pad, m = n_max + q.
-            # Uniform rounds stack with one concatenate; ragged rounds
-            # scatter the concatenated values through one fancy index
-            # (dst = row*m + column, all intp arithmetic).  Pad columns
-            # beyond a row's own window hold zeros/stale cells — the MAC
-            # runs over them, but every output slice stops at the row's
-            # own length, so the junk is never read. ----
-            if not ragged:
-                ar = self._arange(n + 1)
-                if q == 0 or not any(el_l):
-                    # no extension columns anywhere: every row is already
-                    # m cells, one concatenate is the whole stack
-                    X = np.concatenate(vlist).reshape(G, m)
-                else:
-                    X = np.empty((G, m), dtype=np.float64)
-                    els = np.asarray(el_l, dtype=np.intp)
-                    e_offs = np.asarray(eo_l, dtype=np.intp)
-                    for e in range(q + 1):
-                        rows_e = np.nonzero(els == e)[0]
-                        ge = rows_e.shape[0]
-                        if ge == 0:
-                            continue
-                        if ge == G:
-                            sub = np.concatenate(vlist)
-                        else:
-                            sub = np.concatenate([vlist[r] for r in rows_e])
-                        X[rows_e, : m - e] = sub.reshape(ge, m - e)
-                        for k in range(e):
-                            X[rows_e, m - e + k] = buf[
-                                e_offs[rows_e] + k * st0
-                            ]
-                lens_np = None
-            else:
-                lens_np = np.asarray(lens, dtype=np.intp)
-                els = (
-                    np.asarray(el_l, dtype=np.intp)
-                    if q and any(el_l) else None
-                )
-                lens_v = lens_np + q - els if els is not None else (
-                    lens_np + q if q else lens_np
-                )
-                vcat = np.concatenate(vlist)
-                tot = vcat.shape[0]
-                ar = self._arange(max(tot, n + 1, G))
-                cum = np.cumsum(lens_v)
-                starts = cum - lens_v
-                dst = ar[:tot] + np.repeat(ar[:G] * m - starts, lens_v)
-                Xf = self._xscratch
-                if Xf is None or Xf.shape[0] < G * m:
-                    # fresh scratch starts zeroed; on reuse the pad cells
-                    # hold stale finite values from earlier rounds — junk
-                    # the output slices never read, so no re-zeroing
-                    self._xscratch = Xf = np.zeros(
-                        max(G * m, 2 * (Xf.shape[0] if Xf is not None else 0)),
-                        dtype=np.float64,
-                    )
-                Xf[dst] = vcat
-                X = Xf[: G * m].reshape(G, m)
-                if els is not None:
-                    e_offs = np.asarray(eo_l, dtype=np.intp)
-                    for k in range(q):
-                        rk = np.nonzero(els > k)[0]
-                        if rk.size:
-                            X[rk, lens_v[rk] + k] = buf[
-                                e_offs[rk] + k * st0
-                            ]
-            g_offs = np.asarray(go_l, dtype=np.intp)
-            if not plain_green:
-                row_idx = ar[:n] if st0 == 1 else st0 * ar[:n]
-                idx = g_offs[:, None] + row_idx
-                reach = int(g_offs.max()) + st0 * (n - 1)
-                if reach >= buf.shape[0]:
-                    # ragged pads may reach past the last registered
-                    # table; clamp — the overhang cells are junk that the
-                    # per-row output slices never read
-                    np.minimum(idx, buf.shape[0] - 1, out=idx)
-                Gm = buf[idx]
-            else:
-                Gm = np.zeros((G, n), dtype=np.float64)
-                for r, i in enumerate(idxs):
-                    req = reqs[i]
-                    nr = lens[r]
-                    if req.table is None:
-                        Gm[r, :nr] = req.green
-                    else:
-                        s = g_offs[r]
-                        Gm[r, :nr] = buf[s : s + st0 * nr : st0]
-            if nt == 0:
-                cont = X[:, :n]
-            else:
-                cached = self._tc_cache.get(key)
-                if (
-                    cached is not None
-                    and len(cached[0]) == G
-                    and all(a is b for a, b in zip(cached[0], tlist))
-                ):
-                    tc = cached[1]
-                else:
-                    tc = np.concatenate(tlist).reshape(G, nt)
-                    self._tc_cache[key] = (tlist, tc)
-                if numba_mac is not None:
-                    cont = np.empty((G, n), dtype=np.float64)
-                    numba_mac(X, tc, cont)
-                else:
-                    cont = tc[:, 0:1] * X[:, :n]
-                    for k in range(1, nt):
-                        cont += tc[:, k : k + 1] * X[:, k : k + n]
-            # replies are views of the group matrices — each lives only until
-            # its solver's next request replaces it, so no per-row copies.
-            # The divider scan appends a False sentinel column before the
-            # row-wise argmin: the argmin then *is* divider+1 directly
-            # (all-red rows hit the sentinel at their own length), replacing
-            # the fancy-index fixup pass of the per-row scan with plain
-            # arithmetic.  Ragged rounds force every column at or past a
-            # row's own length to False in one vectorised logical-and, which
-            # both plants the sentinel and kills the junk-pad comparisons.
-            if keep == "prefix":
-                pad = np.empty((G, n + 1), dtype=np.bool_)
-                np.greater_equal(cont, Gm, out=pad[:, :n])
-                if lens_np is None:
-                    pad[:, n] = False
-                else:
-                    np.logical_and(
-                        pad, ar[: n + 1] < lens_np[:, None], out=pad
-                    )
-                fl = pad.argmin(axis=1).tolist()
-                crows = list(cont)  # row views in one C call
-                if G == B:
-                    # the whole call is one group: idxs is 0..B-1 in
-                    # input order, so build the reply lists outright
-                    divs = [f - 1 for f in fl]
-                    outs = [cr[:f] for cr, f in zip(crows, fl)]
-                else:
-                    for i, cr, f in zip(idxs, crows, fl):
-                        divs[i] = f - 1
-                        outs[i] = cr[:f]
-            else:  # "max"
-                M = np.maximum(cont, Gm)
-                mrows = list(M)
-                if scan:
-                    pad = np.empty((G, n + 1), dtype=np.bool_)
-                    np.greater_equal(Gm, cont, out=pad[:, :n])
-                    if lens_np is None:
-                        pad[:, n] = False
-                    else:
-                        np.logical_and(
-                            pad, ar[: n + 1] < lens_np[:, None], out=pad
-                        )
-                    fl = pad.argmin(axis=1).tolist()
-                    if lens_np is None:
-                        for i, mr, f in zip(idxs, mrows, fl):
-                            divs[i] = f - 1
-                            outs[i] = mr
-                    else:
-                        for i, mr, f, nr in zip(idxs, mrows, fl, lens):
-                            divs[i] = f - 1
-                            outs[i] = mr[:nr]
-                elif lens_np is None:
-                    for i, mr in zip(idxs, mrows):
-                        outs[i] = mr
-                else:
-                    for i, mr, nr in zip(idxs, mrows, lens):
-                        outs[i] = mr[:nr]
-        ws = WorkSpan(2.0 * total_cells, np.log2(total_cells + 2.0) + 1.0)
-        return outs, divs, BaseRowsRecord(B, len(groups), ws)  # type: ignore[arg-type]
 
 
 def engine_delta(before: dict, after: dict) -> dict:

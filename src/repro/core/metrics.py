@@ -25,7 +25,6 @@ class SolveStats:
     trapezoids: int = 0
     base_cases: int = 0
     base_rows: int = 0
-    base_batch_rows: int = 0  # base rows served via engine.base_rows_batch
     cells_evaluated: int = 0
     max_depth: int = 0
 
@@ -51,9 +50,8 @@ class SolveStats:
 
     def as_dict(self) -> dict:
         # Derived from the dataclass fields so a newly added counter can
-        # never be silently missing from reports (PR 7's base_batch_rows
-        # initially was) — field order is declaration order, so the dict
-        # layout matches the class.
+        # never be silently missing from reports — field order is
+        # declaration order, so the dict layout matches the class.
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 

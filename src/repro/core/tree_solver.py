@@ -35,11 +35,10 @@ Puts are *not* handled here: their divider is mirrored.  Use
 :mod:`repro.core.symmetry` (exact put–call symmetry) or the vanilla solvers.
 
 Every solve is a generator driven by
-:func:`~repro.core.lockstep.drive_lockstep`: it yields its linear advances
-and, in a batch of B > 1 solves, its naive base rows too, so the driver
-can stack them across solves.  A lone solve (:func:`solve_tree_fft`, the
-B = 1 case of :func:`solve_tree_fft_batch`) runs its base rows inline —
-yielding them would only add a driver round trip per row.
+:func:`~repro.core.lockstep.drive_lockstep`: it yields its linear advances,
+which the driver batches across solves, and runs its naive base rows
+inline at every batch width (docs/DESIGN.md §7.6).  A lone solve
+(:func:`solve_tree_fft`) is the B = 1 case of :func:`solve_tree_fft_batch`.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ from repro.core.fftstencil import (
     engine_delta as _engine_delta,
     row_correlate,
 )
-from repro.core.lockstep import AdvanceRequest, BaseRowRequest, drive_lockstep
+from repro.core.lockstep import AdvanceRequest, drive_lockstep
 from repro.core.metrics import SolveStats
 from repro.options.contract import Right, Style
 from repro.options.params import BinomialParams, TrinomialParams
@@ -91,9 +90,7 @@ class _TreeSolver:
     :class:`~repro.core.lockstep.AdvanceRequest` objects for its linear
     advances and receives ``(values, record)`` back, so the same solver
     code runs alone or in lockstep with B sibling solves (one
-    ``advance_batch`` call per round).  ``batch_base=True`` also yields
-    each naive base row (a batch of B > 1 solves); otherwise the rows run
-    inline.
+    ``advance_batch`` call per round).  The naive base rows run inline.
     """
 
     def __init__(
@@ -101,7 +98,6 @@ class _TreeSolver:
         params: TreeParams,
         base: int,
         recorder: Optional[BoundaryRecorder],
-        batch_base: bool = False,
     ):
         self.p = params
         self.taps = tuple(params.taps)
@@ -129,20 +125,6 @@ class _TreeSolver:
         self._tab_off = T
         self._alpha_i = 2 if self.q == 1 else 1
         self._taps_arr = np.asarray(self.taps, dtype=np.float64)
-        # Lockstep base rows (docs/DESIGN.md §7.6): one reused request
-        # object — requests are consumed within the round they are
-        # yielded, so only the window fields change row to row.
-        self._req: Optional[BaseRowRequest] = (
-            BaseRowRequest(
-                taps=self._taps_arr,
-                table=self._green_tab,
-                g_stride=self._alpha_i,
-                keep="prefix",
-                scan=True,
-            )
-            if batch_base
-            else None
-        )
 
     # ------------------------------------------------------------------ #
     # Grid helpers
@@ -176,35 +158,24 @@ class _TreeSolver:
     ):
         """Descend ``ell`` rows with the max rule on the window ``[c0..j]``.
 
-        A generator returning (via ``StopIteration``) the red values on
-        ``[c0..j_bot]`` of row ``i_top - ell`` and the divider ``j_bot``
-        (``c0 - 1`` when no red cell remains at or right of ``c0``).
-
-        A lone solve (``batch_base=False``) runs every row inline — the
-        generator yields nothing here.  A batched solve yields each row
-        as a :class:`BaseRowRequest` (window + green slice spec into the
-        per-solve table) so the driver can stack the B live rows into one
-        :meth:`~repro.core.fftstencil.AdvanceEngine.base_rows_batch`
-        call per round — bit-identical either way.
+        Returns the red values on ``[c0..j_bot]`` of row ``i_top - ell``,
+        the divider ``j_bot`` (``c0 - 1`` when no red cell remains at or
+        right of ``c0``) and the descent's work/span.  Every row runs
+        inline — one ``np.correlate``, one green slice, one divider scan —
+        whatever batch the solve rides in (docs/DESIGN.md §7.6).
         """
         q = self.q
-        a = self._alpha_i
-        off = self._tab_off
         rec = self.rec
         cur = vals
         jb = j_top
         work = 0.0
         span = 0.0
         base_rows = 0
-        batch_rows = 0
         cells = 0
-        req = self._req
         stats = self.stats
         stats.base_cases += 1
         log2 = _math.log2
         row_w = 2.0 * (q + 1)
-        g0 = a * c0 + off  # green slice start is g0 - i_new, row by row
-        e0 = a + off - 1  # extension start is a*jb + e0 - i_new
         for step in range(1, ell + 1):
             i_new = i_top - step
             re_new = q * i_new  # row_end inlined: ~ell attribute+call pairs saved
@@ -212,34 +183,18 @@ class _TreeSolver:
             if hi_cand < c0:
                 # divider left the window; every lower row is green in [c0..]
                 stats.base_rows += base_rows + ell - step + 1
-                stats.base_batch_rows += batch_rows
                 stats.cells_evaluated += cells
                 return np.empty(0, dtype=np.float64), c0 - 1, WorkSpan(work, span)
             ext_hi = hi_cand + q  # <= row_end(i_new + 1) always
             n_cand = hi_cand - c0 + 1
-            if req is not None:
-                if ext_hi > jb:
-                    req.values = cur
-                    req.e_start = a * jb + e0 - i_new
-                    req.e_len = ext_hi - jb
-                else:
-                    req.values = cur[: ext_hi - c0 + 1]
-                    req.e_len = 0
-                req.g_start = g0 - i_new
-                cur, d = yield req
-                jb = c0 + d
-                batch_rows += 1
+            if ext_hi > jb:
+                x = np.concatenate([cur, self.green(i_new + 1, jb + 1, ext_hi)])
             else:
-                if ext_hi > jb:
-                    x = np.concatenate(
-                        [cur, self.green(i_new + 1, jb + 1, ext_hi)]
-                    )
-                else:
-                    x = cur[: ext_hi - c0 + 1]
-                cont = row_correlate(x, self._taps_arr)
-                grn = self.green(i_new, c0, hi_cand)
-                jb = c0 + scan_prefix_boundary(cont >= grn)
-                cur = cont[: jb - c0 + 1]
+                x = cur[: ext_hi - c0 + 1]
+            cont = row_correlate(x, self._taps_arr)
+            grn = self.green(i_new, c0, hi_cand)
+            jb = c0 + scan_prefix_boundary(cont >= grn)
+            cur = cont[: jb - c0 + 1]
             cells += n_cand
             base_rows += 1
             # inline rows_cost(1, n_cand, q+1): work n*(2 taps+2), span log2(n)+1
@@ -248,7 +203,6 @@ class _TreeSolver:
             if rec is not None and jb >= c0:
                 rec.record(i_new, jb)
         stats.base_rows += base_rows
-        stats.base_batch_rows += batch_rows
         stats.cells_evaluated += cells
         return cur, jb, WorkSpan(work, span)
 
@@ -282,7 +236,7 @@ class _TreeSolver:
             # Second condition is defensive: float noise at the divider could
             # in principle hand us one red cell fewer than the theory
             # guarantees; the naive sweep is exact for any configuration.
-            return (yield from self.naive_descend(i_top, c0, vals, j_top, ell))
+            return self.naive_descend(i_top, c0, vals, j_top, ell)
         h = ell // 2
         i_mid = i_top - h
 
@@ -349,17 +303,14 @@ def _tree_solve_gen(
     base: int,
     tail: int,
     recorder: Optional[BoundaryRecorder],
-    batch_base: bool = False,
 ):
     """Generator body of one fft-bopm/fft-topm solve.
 
     Yields :class:`~repro.core.lockstep.AdvanceRequest` for every linear
-    advance — plus, with ``batch_base=True``,
-    :class:`~repro.core.lockstep.BaseRowRequest` for every naive base-case
-    row — and returns the :class:`TreeFFTResult` (without the
+    advance and returns the :class:`TreeFFTResult` (without the
     driver-supplied ``meta["engine"]`` delta) via ``StopIteration``.
     """
-    solver = _TreeSolver(params, base, recorder, batch_base)
+    solver = _TreeSolver(params, base, recorder)
     q = solver.q
     T = params.steps
 
@@ -382,18 +333,10 @@ def _tree_solve_gen(
     full_t = np.maximum(greens_T, 0.0)
     i = T - 1
     width = solver.row_end(i) + 1
-    if batch_base:
-        req = solver._req
-        req.values = full_t
-        req.e_len = 0
-        req.g_start = solver._tab_off - i
-        vals, jb = yield req
-        solver.stats.base_batch_rows += 1
-    else:
-        cont = row_correlate(full_t, solver._taps_arr)
-        grn = solver.green(i, 0, solver.row_end(i))
-        jb = scan_prefix_boundary(cont >= grn)
-        vals = cont[: jb + 1]
+    cont = row_correlate(full_t, solver._taps_arr)
+    grn = solver.green(i, 0, solver.row_end(i))
+    jb = scan_prefix_boundary(cont >= grn)
+    vals = cont[: jb + 1]
     ws = ws.then(rows_cost(1, width, q + 1))
     solver.stats.cells_evaluated += width
     if recorder is not None:
@@ -408,7 +351,7 @@ def _tree_solve_gen(
         ell = min(red_count // q, i)
         if i <= tail or ell <= base:
             step_rows = i if i <= tail else min(base, i)
-            vals, jb, w = yield from solver.naive_descend(i, 0, vals, jb, step_rows)
+            vals, jb, w = solver.naive_descend(i, 0, vals, jb, step_rows)
             i -= step_rows
         else:
             vals, jb, w = yield from solver.solve_trapezoid(i, 0, vals, jb, ell)
@@ -493,8 +436,7 @@ def solve_tree_fft_batch(
     as generators serviced round-by-round through
     :meth:`~repro.core.fftstencil.AdvanceEngine.advance_batch` — one
     batched ``rfft``/row-multiply/``irfft`` per round instead of B
-    Python-level engine calls — and, for B > 1, their naive base rows
-    through :meth:`~repro.core.fftstencil.AdvanceEngine.base_rows_batch`.
+    Python-level engine calls; each solve runs its naive base rows inline.
     Every row of every batched call is bit-identical to its one-row twin,
     so each returned result equals ``solve_tree_fft(params_list[i])``
     bit-for-bit.
@@ -514,14 +456,12 @@ def solve_tree_fft_batch(
     if engine is None:
         engine = AdvanceEngine(policy)
     engine_before = engine.cache_info()
-    batch_base = len(params_list) > 1
     gens = [
         _tree_solve_gen(
             params,
             base,
             tail if tail is not None else max(base, isqrt(params.steps)),
             BoundaryRecorder() if record_boundary else None,
-            batch_base,
         )
         for params in params_list
     ]

@@ -619,9 +619,11 @@ def implied_vol_many(
     ``implied_vol`` calls bit-for-bit (batched rows transform exactly as
     standalone advances); total *solves* exceed the warm-started path's,
     but arrive in ~`iterations` batched rounds instead of ~`3 B` sequential
-    lattice passes.  Prefer it for wide ladders on a single core; prefer
-    warm starts when solves are the scarce resource (e.g. distributed
-    calibration workers).
+    lattice passes.  It is no faster than warm starts on one core: in
+    ``benchmarks/bench_batch.py``'s 64-quote T = 256 ladder, warm-start
+    wall over lockstep wall read 0.84–1.14 (median 0.95) on a 2-vCPU host.
+    Use it when each quote's trajectory must match an independent
+    :func:`implied_vol` call exactly.
     """
     if len(specs) != len(quotes):
         raise ValidationError(

@@ -4,7 +4,7 @@ The span taxonomy (docs/DESIGN.md §9) mirrors the call structure of the
 stack rather than inventing a new vocabulary::
 
     quote  -> canonicalize | cache_lookup | bucket_solve
-    solve  -> lockstep_round -> advance_batch | base_rows_batch
+    solve  -> lockstep_round -> advance_batch
     grid   -> dispatch -> chunk
 
 Spans are deliberately coarse — one per *round* or *phase*, never one per

@@ -5,6 +5,7 @@ import pytest
 from scipy.signal import fftconvolve
 
 from repro.core.fftstencil import (
+    MAC_STACK_MAX_KERNEL,
     AdvanceEngine,
     AdvancePolicy,
     engine_delta,
@@ -232,3 +233,26 @@ class TestAdvanceManyPerGroup:
         _, four = engine.advance_batch(xs, [(TAPS_A, 60)] * 4)
         assert four.workspan.work == pytest.approx(4.0 * one.workspan.work)
         assert four.workspan.span == pytest.approx(one.workspan.span)
+
+
+class TestAdvanceBatchMacBoundary:
+    """advance_batch's stacked-MAC cutoff: both sides of
+    ``MAC_STACK_MAX_KERNEL`` agree bitwise with per-row advances."""
+
+    @pytest.mark.parametrize(
+        "h", [MAC_STACK_MAX_KERNEL - 1, MAC_STACK_MAX_KERNEL]
+    )
+    def test_direct_group_both_sides_of_cutoff(self, h):
+        # binomial taps (q=1): kernel_len = h + 1, so h=10 -> 11 (stacked
+        # MAC) and h=11 -> 12 (per-row correlate fallback)
+        rng = np.random.default_rng(h)
+        taps = (0.47, 0.53)
+        xs = [rng.uniform(0.0, 90.0, size=L) for L in (20, 25, 31)]
+        engine = AdvanceEngine()
+        ys, _ = engine.advance_batch(
+            [np.asarray(x) for x in xs], [(taps, h)] * 3
+        )
+        ref = AdvanceEngine()
+        for x, y in zip(xs, ys):
+            y1, _ = ref.advance(np.asarray(x), taps, h)
+            np.testing.assert_array_equal(y, y1)

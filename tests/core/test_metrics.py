@@ -8,8 +8,7 @@ from repro.core.metrics import SolveReport, SolveStats
 class TestAsDict:
     def test_every_declared_field_is_reported(self):
         # as_dict is derived from the dataclass fields, so a counter added
-        # to the class can never be silently missing from reports (the
-        # base_batch_rows drift this guards against)
+        # to the class can never be silently missing from reports
         stats = SolveStats()
         d = stats.as_dict()
         assert set(d) == {f.name for f in dataclasses.fields(SolveStats)}
@@ -22,14 +21,14 @@ class TestAsDict:
         stats = SolveStats()
         stats.note_advance("fft", 128, spectrum_hit=True)
         stats.note_advance("direct", 16)
-        stats.base_batch_rows += 7
+        stats.base_rows += 7
         d = stats.as_dict()
         assert d["fft_calls"] == 1
         assert d["fft_points"] == 128
         assert d["spectrum_hits"] == 1
         assert d["direct_calls"] == 1
         assert d["direct_points"] == 16
-        assert d["base_batch_rows"] == 7
+        assert d["base_rows"] == 7
 
     def test_note_depth_keeps_the_maximum(self):
         stats = SolveStats()

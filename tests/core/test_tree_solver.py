@@ -170,15 +170,6 @@ class TestBoundaryRecorder:
         assert fft_price(SPEC, 64).boundary is None
 
 
-def _exhaust(gen):
-    """Run a serial-mode solver generator (no yields) to its return value."""
-    try:
-        next(gen)
-    except StopIteration as stop:
-        return stop.value
-    raise AssertionError("serial-mode generator yielded a request")
-
-
 class TestDividerExit:
     """naive_descend's early exit when the divider leaves the window."""
 
@@ -193,8 +184,8 @@ class TestDividerExit:
         solver = self._solver()
         # window start c0=10 lies right of row_end(3)=3, so the divider
         # leaves the window on the first descend step
-        vals, jb, ws = _exhaust(
-            solver.naive_descend(4, 10, np.zeros(1, dtype=np.float64), 10, 2)
+        vals, jb, ws = solver.naive_descend(
+            4, 10, np.zeros(1, dtype=np.float64), 10, 2
         )
         assert vals.shape == (0,)
         assert vals.dtype == np.float64  # PR-1 empty-array dtype convention
@@ -202,7 +193,7 @@ class TestDividerExit:
 
     def test_early_exit_counts_remaining_rows(self):
         solver = self._solver()
-        _exhaust(solver.naive_descend(4, 10, np.zeros(1, dtype=np.float64), 10, 3))
+        solver.naive_descend(4, 10, np.zeros(1, dtype=np.float64), 10, 3)
         assert solver.stats.base_rows == 3  # all rows accounted, none computed
 
 

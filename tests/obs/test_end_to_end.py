@@ -130,7 +130,7 @@ class TestLockstepSpans:
         bd = tel.tracer.phase_breakdown()
         assert bd["solve"]["count"] >= 1
         assert bd["lockstep_round"]["count"] > 1
-        assert "advance_batch" in bd or "base_rows_batch" in bd
+        assert "advance_batch" in bd
         # batch widths landed in the engine histograms
         snap = tel.snapshot()
         widths = {
@@ -138,8 +138,8 @@ class TestLockstepSpans:
             for m in snap["metrics"]
             if m["name"].startswith("engine_")
         }
-        assert widths["engine_base_rows_batch_rows"]["count"] > 0
-        assert widths["engine_base_rows_batch_rows"]["max"] >= 2
+        assert widths["engine_advance_batch_rows"]["count"] > 0
+        assert widths["engine_advance_batch_rows"]["max"] >= 2
 
     def test_lockstep_results_bit_identical_with_telemetry(self):
         specs = [bumped(i) for i in range(5)]

@@ -97,6 +97,48 @@ class TestDeadlines:
             ticket.result()
 
 
+class TestDeadlineMidSolve:
+    """A deadline that expires *during* a lattice solve, observed by the
+    engine's ``checkpoint`` hook between advance rounds.  The fake clock
+    moves one second per engine checkpoint, so a 3 s budget passes every
+    pre-solve gate and runs out at the solve's third advance round."""
+
+    @staticmethod
+    def checkpoint_clock(svc):
+        engine = svc._engine
+        return lambda: float(engine.checkpoints)
+
+    def test_lone_quote_raises_mid_solve(self):
+        ref = QuoteService()
+        ref.quote(SPEC, 96)
+        assert ref._engine.cache_info()["advances"] > 3  # solve outlasts it
+        svc = QuoteService()
+        deadline = Deadline(3.0, clock=self.checkpoint_clock(svc))
+        with pytest.raises(DeadlineExceeded):
+            svc.quote(SPEC, 96, deadline=deadline)
+        assert svc._engine.cache_info()["checkpoints"] == 3
+        assert len(svc.cache) == 0
+        assert svc.stats()["resilience"]["deadline_misses"] == 1
+
+    def test_quote_many_bucket_times_out_mid_solve(self):
+        specs = strikes(4)
+        ref = QuoteService()
+        ref.quote_many(specs[1:], 96)
+        assert ref.stats()["service"]["max_batch"] == 3  # one B = 3 bucket
+        assert ref._engine.cache_info()["advances"] > 3
+        svc = QuoteService()
+        warm = svc.quote(specs[0], 96)
+        deadline = Deadline(3.0, clock=self.checkpoint_clock(svc))
+        out = svc.quote_many(specs, 96, deadline=deadline)
+        assert out[0].meta["cache"] == "hit"
+        assert out[0].price == warm.price
+        for r in out[1:]:
+            assert r.meta.get("timeout") and math.isnan(r.price)
+        assert svc._engine.cache_info()["checkpoints"] == 3
+        assert len(svc.cache) == 1  # only the warm key
+        assert svc.stats()["service"]["max_batch"] == 0  # no bucket finished
+
+
 class TestBreakers:
     def make_service(self, fake_clock, **kw):
         defaults = dict(
