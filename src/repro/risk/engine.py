@@ -31,8 +31,12 @@ identical results:
     backend must agree with bit-for-bit, and the fallback on one-core
     hosts.
 
-Result ordering is always the flat grid order regardless of backend or
-completion order.
+Every grid, on every backend, runs through one dispatch loop
+(:meth:`ScenarioEngine._dispatch`): each chunk is one batched
+``price_many`` call, and only a failed chunk walks the recovery ladder
+(retry, isolate, mark), so resilient grids keep the lockstep batching
+plain ones get.  Result ordering is always the flat grid order regardless
+of backend or completion order.
 """
 
 from __future__ import annotations
@@ -187,40 +191,59 @@ def _merge_engine_deltas(deltas: Sequence[dict]) -> Optional[dict]:
     return merged
 
 
-def _run_chunk(
+def _price_chunk(
     engine: AdvanceEngine,
+    lo: int,
     specs: Sequence[OptionSpec],
     steps: int,
     kwargs: dict,
-    pricers: Optional[Sequence[Optional[str]]] = None,
+    attempt: int,
+    plan: Optional[FaultPlan],
+    pricers: Optional[Sequence[Optional[str]]],
 ) -> tuple[list[PricingResult], float]:
-    """Price one chunk on ``engine``; returns (results, in-worker seconds).
+    """Price grid cells ``[lo, lo + len(specs))`` as one batch on
+    ``engine``; returns (results, in-worker seconds).
 
     ``pricers`` (mixed-backend grids only) names the pricer backend per
     cell: the chunk is split into contiguous runs of equal backend, each
     run batch-priced on its backend, so a uniform grid — ``pricers is
-    None`` — keeps the historical single ``price_many`` call byte-for-byte
-    and full-chunk dedup.  Mixed chunks dedup within each run; run-local
-    ``deduplicated_of`` indexes are rebased to the chunk here.
+    None`` — makes a single ``price_many`` call with full-chunk dedup.
+    Mixed chunks dedup within each run.  ``deduplicated_of`` indexes come
+    back rebased to flat grid order.
+
+    A fault ``plan`` fires its ``before`` hook for every cell, keyed on
+    the **flat grid index and attempt number**, before the batch runs — so
+    an injected crash wastes no solve work — and its ``after`` hook per
+    cell on the batch's rows.  The same ``(cell, attempt)`` replays the
+    same fault on any backend and any chunking, which is what makes fault
+    runs deterministic.
     """
     t0 = time.perf_counter()
+    if plan is not None:
+        for cell in range(lo, lo + len(specs)):
+            plan.before(cell, attempt)
     if pricers is None:
         results = price_many(specs, steps, engine=engine, **kwargs)
     else:
         results = []
-        lo = 0
+        start = 0
         n = len(specs)
-        while lo < n:
-            hi = lo + 1
-            while hi < n and pricers[hi] == pricers[lo]:
-                hi += 1
+        while start < n:
+            stop = start + 1
+            while stop < n and pricers[stop] == pricers[start]:
+                stop += 1
             run = price_many(
-                specs[lo:hi], steps, engine=engine,
-                pricer=pricers[lo], **kwargs,
+                specs[start:stop], steps, engine=engine,
+                pricer=pricers[start], **kwargs,
             )
-            _rebase_dedup_indices(run, lo)
+            _rebase_dedup_indices(run, start)
             results.extend(run)
-            lo = hi
+            start = stop
+    if plan is not None:
+        results = [
+            plan.after(cell, attempt, r) for cell, r in enumerate(results, lo)
+        ]
+    _rebase_dedup_indices(results, lo)
     return results, time.perf_counter() - t0
 
 
@@ -240,69 +263,33 @@ def _worker_track(lo: int, hi: int, t0: float, t1: float) -> dict:
     }
 
 
-def _price_chunk(
-    payload: tuple[int, list[OptionSpec], int, dict, AdvancePolicy,
-                   Optional[list]],
-) -> tuple[int, list[PricingResult], float, dict, dict]:
-    """Executor task: price one chunk on this worker's persistent engine.
+def _pool_chunk(
+    payload: tuple[int, list[OptionSpec], int, dict, AdvancePolicy, int,
+                   Optional[FaultPlan], Optional[list]],
+) -> tuple[list[PricingResult], float, dict, dict]:
+    """Executor task: :func:`_price_chunk` on this worker's persistent
+    engine.
 
     Ships the chunk's engine-counter *delta* back alongside the results —
     the worker's engine is long-lived, so the parent cannot read its
     cumulative :meth:`~repro.core.fftstencil.AdvanceEngine.cache_info`
     directly; per-chunk deltas add associatively in any completion order,
     which is what lets the parent merge pooled-run engine telemetry
-    exactly as the serial path reports its own.  The last element is the
+    exactly as an inline run reports its own.  The last element is the
     chunk's :func:`_worker_track` for trace export.
-    """
-    start, specs, steps, kwargs, policy, pricers = payload
-    engine = _worker_engine(policy)
-    before = engine.cache_info()
-    t0 = time.perf_counter()
-    results, seconds = _run_chunk(engine, specs, steps, kwargs, pricers)
-    t1 = time.perf_counter()
-    delta = engine_delta(before, engine.cache_info())
-    return start, results, seconds, delta, _worker_track(
-        start, start + len(specs), t0, t1
-    )
-
-
-def _price_cells(
-    payload: tuple[int, list[OptionSpec], int, dict, AdvancePolicy, int,
-                   Optional[FaultPlan], Optional[list]],
-) -> tuple[int, list[PricingResult], float, dict]:
-    """Executor task for the *resilient* path: price a chunk cell by cell.
-
-    Unlike :func:`_price_chunk` this prices one cell per ``price_many``
-    call so the fault hooks fire per cell, keyed on the **flat grid index
-    and attempt number** — the same ``(cell, attempt)`` replays the same
-    fault on any backend, which is what makes fault runs deterministic.
-    Within-chunk cross-cell dedup is deliberately given up here (each cell
-    is its own batch); per-cell solves are bit-identical to batched ones
-    (the lockstep guarantee), so answers do not move.
-
-    A crash mid-chunk discards the chunk's partial results; the parent
-    re-dispatches and the surviving cells are simply re-priced —
-    deterministic solves make the recompute free of answer drift.
     """
     lo, specs, steps, kwargs, policy, attempt, plan, pricers = payload
     engine = _worker_engine(policy)
+    before = engine.cache_info()
     t0 = time.perf_counter()
-    results: list[PricingResult] = []
-    for i, spec in enumerate(specs):
-        cell = lo + i
-        if plan is not None:
-            plan.before(cell, attempt)
-        if pricers is None:
-            r = price_many([spec], steps, engine=engine, **kwargs)[0]
-        else:
-            r = price_many(
-                [spec], steps, engine=engine, pricer=pricers[i], **kwargs
-            )[0]
-        if plan is not None:
-            r = plan.after(cell, attempt, r)
-        results.append(r)
+    results, seconds = _price_chunk(
+        engine, lo, specs, steps, kwargs, attempt, plan, pricers
+    )
     t1 = time.perf_counter()
-    return lo, results, t1 - t0, _worker_track(lo, lo + len(specs), t0, t1)
+    delta = engine_delta(before, engine.cache_info())
+    return results, seconds, delta, _worker_track(
+        lo, lo + len(specs), t0, t1
+    )
 
 
 def _map_chunk(payload: tuple) -> tuple[int, list]:
@@ -399,17 +386,19 @@ class ScenarioEngine:
 
     Resilient dispatch
     ------------------
-    :meth:`price_grid` accepts ``deadline`` / ``retry`` / ``fault_plan``;
-    when any is set the grid runs through the *resilient* dispatch loop
-    (``submit`` + ``wait`` instead of ``pool.map``) which prices chunks
-    cell by cell, re-dispatches transiently-failed chunks with jittered
-    backoff, rebuilds a broken process pool once per break (re-pricing
-    only the chunks the dead worker held), isolates a poisoned request by
-    splitting its chunk into single cells, and — when the deadline
-    expires — returns *partial results*: every finished cell keeps its
-    bit-exact price, unfinished cells carry an explicit timeout marker
-    (:func:`repro.resilience.markers.timeout_result`).  With all three
-    unset, dispatch is byte-for-byte the original fast path.
+    :meth:`price_grid` accepts ``deadline`` / ``retry`` / ``fault_plan``.
+    They configure the one dispatch loop every grid runs through: each
+    chunk is still priced as one batch, and only a failed chunk is
+    re-dispatched with jittered backoff, split into single cells to
+    isolate a poisoned request, or re-priced on a rebuilt process pool
+    (once per break, re-pricing only the chunks the dead worker held).
+    When the deadline expires the grid returns *partial results*: every
+    finished cell keeps its bit-exact price, unfinished cells carry an
+    explicit timeout marker
+    (:func:`repro.resilience.markers.timeout_result`).  Preemption is per
+    chunk on every backend — lockstep solves finish together, so a chunk
+    preempted mid-solve times out whole.  With all three unset a failure,
+    a corrupted row included, propagates at once.
     """
 
     def __init__(
@@ -566,18 +555,19 @@ class ScenarioEngine:
         ``grid`` may be a :class:`ScenarioGrid` or a plain contract
         sequence (wrapped via :meth:`ScenarioGrid.explicit`).
 
-        ``deadline`` / ``retry`` / ``fault_plan`` select the resilient
-        dispatch (class docstring); ``retry`` and ``fault_plan`` default
-        to the engine's own.  Without ``retry``, a cell failure propagates
-        as before; with it, exhausted/non-transient failures become
-        per-cell markers and ``meta["resilience"]`` reports the recovery
-        counters.
+        ``deadline`` / ``retry`` / ``fault_plan`` configure the recovery
+        loop every grid runs through (class docstring); ``retry`` and
+        ``fault_plan`` default to the engine's own.  Without ``retry``, a
+        cell failure propagates — a served row with a non-finite price as
+        :class:`~repro.resilience.faults.CorruptedResult`; with it,
+        exhausted/non-transient failures become per-cell markers.  Any of
+        the three adds ``meta["resilience"]`` with the recovery counters.
 
         ``pricer`` names the :class:`~repro.core.backend.PricerBackend` for
         cells that do not carry their own ``ScenarioCell.backend``; a grid
         may mix exact and approximate cells freely (each result records its
-        server as ``meta["backend"]``).  With neither set the dispatch is
-        byte-for-byte the pre-registry lattice path.
+        server as ``meta["backend"]``).  With neither set every cell
+        prices on the exact lattice path.
         """
         if not isinstance(grid, ScenarioGrid):
             grid = ScenarioGrid.explicit(list(grid))
@@ -591,8 +581,8 @@ class ScenarioEngine:
         }
         # Per-cell pricer backends: cell override, else the call's default.
         # A uniform assignment collapses into ``kwargs`` (whole-chunk dedup
-        # and one price_many call per chunk, exactly as before); only a
-        # genuinely mixed grid pays the contiguous-run split in _run_chunk.
+        # and one price_many call per chunk); only a genuinely mixed grid
+        # pays the contiguous-run split in _price_chunk.
         cell_pricers = [c.backend or pricer for c in grid.cells]
         pricers: Optional[list] = None
         if any(p is not None for p in cell_pricers):
@@ -635,13 +625,6 @@ class ScenarioEngine:
                 _warn_pool_fallback(fallback_reason)
 
         tel = self.telemetry
-        h_chunk = (
-            tel.histogram(
-                "risk_chunk_seconds", help="in-worker wall seconds per chunk"
-            )
-            if tel is not None
-            else None
-        )
         grid_span = (
             NULL_SPAN
             if tel is None
@@ -670,10 +653,6 @@ class ScenarioEngine:
                     cells=len(specs),
                 )
             t0 = time.perf_counter()
-            cells_wall = 0.0
-            worker_tracks: list[dict] = []
-            engine_info: Optional[dict] = None
-            rmeta: Optional[dict] = None
             dispatch_span = (
                 NULL_SPAN
                 if tel is None
@@ -682,67 +661,10 @@ class ScenarioEngine:
                 )
             )
             with dispatch_span:
-                if serial:
-                    if resilient:
-                        cells_wall, rmeta, engine_info = (
-                            self._solve_serial_resilient(
-                                results, specs, steps, kwargs,
-                                deadline, retry, fault_plan, pricers,
-                            )
-                        )
-                    else:
-                        engine = AdvanceEngine(self.policy)
-                        if tel is not None:
-                            engine.set_telemetry(tel, register=False)
-                        for lo, hi in chunks:
-                            chunk_pricers = (
-                                None if pricers is None else pricers[lo:hi]
-                            )
-                            with (
-                                NULL_SPAN
-                                if tel is None
-                                else tel.span("chunk", lo=lo, hi=hi)
-                            ):
-                                chunk_results, seconds = _run_chunk(
-                                    engine, specs[lo:hi], steps, kwargs,
-                                    chunk_pricers,
-                                )
-                            if h_chunk is not None:
-                                h_chunk.observe(seconds)
-                            _rebase_dedup_indices(chunk_results, lo)
-                            results[lo:hi] = chunk_results
-                            cells_wall += seconds
-                        engine_info = engine.cache_info()
-                elif resilient:
-                    cells_wall, rmeta, worker_tracks = (
-                        self._solve_pooled_resilient(
-                            pool, results, specs, steps, kwargs, chunks,
-                            deadline, retry, fault_plan, pricers,
-                        )
-                    )
-                else:
-                    with pool:
-                        payloads = [
-                            (
-                                lo, specs[lo:hi], steps, kwargs, self.policy,
-                                None if pricers is None else pricers[lo:hi],
-                            )
-                            for lo, hi in chunks
-                        ]
-                        deltas: list[dict] = []
-                        for lo, chunk_results, seconds, delta, track in (
-                            pool.map(_price_chunk, payloads)
-                        ):
-                            _rebase_dedup_indices(chunk_results, lo)
-                            results[lo : lo + len(chunk_results)] = (
-                                chunk_results
-                            )
-                            cells_wall += seconds
-                            deltas.append(delta)
-                            worker_tracks.append(track)
-                            if h_chunk is not None:
-                                h_chunk.observe(seconds)
-                        engine_info = _merge_engine_deltas(deltas)
+                cells_wall, rmeta, engine_info, worker_tracks = self._dispatch(
+                    pool, results, specs, steps, kwargs, chunks,
+                    deadline, retry, fault_plan, pricers,
+                )
             wall = time.perf_counter() - t0
         if tel is not None:
             reg = tel.registry
@@ -752,16 +674,16 @@ class ScenarioEngine:
             )
             if engine_info is not None:
                 reg.count_dict("risk_engine", engine_info)
-            if rmeta is not None:
+            if resilient:
                 reg.count_dict(
                     "risk",
                     {
-                        "retries": rmeta.get("retries", 0),
-                        "pool_rebuilds": rmeta.get("pool_rebuilds", 0),
-                        "isolated": rmeta.get("isolated", 0),
-                        "corrupt_detected": rmeta.get("corrupt_detected", 0),
-                        "timeouts": len(rmeta.get("timeouts", ())),
-                        "failed": len(rmeta.get("failed", ())),
+                        "retries": rmeta["retries"],
+                        "pool_rebuilds": rmeta["pool_rebuilds"],
+                        "isolated": rmeta["isolated"],
+                        "corrupt_detected": rmeta["corrupt_detected"],
+                        "timeouts": len(rmeta["timeouts"]),
+                        "failed": len(rmeta["failed"]),
                     },
                 )
 
@@ -793,10 +715,11 @@ class ScenarioEngine:
             # only attached when telemetry is on so disabled-mode meta is
             # byte-identical to the pre-flight-recorder layout
             meta["worker_tracks"] = worker_tracks
-        if rmeta is not None:
+        if resilient:
+            rmeta["timeouts"].sort()  # pool completions land in any order
             meta["resilience"] = rmeta
         if engine_info is not None:
-            # serial runs share one engine; pooled runs merge the per-chunk
+            # inline runs share one engine; pooled runs merge the per-chunk
             # deltas the workers ship back — either way callers can verify
             # the grid rode the batched advance path
             meta["engine"] = engine_info
@@ -808,12 +731,59 @@ class ScenarioEngine:
         )
 
     # ------------------------------------------------------------------ #
-    # Resilient dispatch
+    # The dispatch loop
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _fresh_rmeta(
-        deadline: Optional[Deadline], fault_plan: Optional[FaultPlan]
-    ) -> dict:
+    def _dispatch(
+        self,
+        pool: Optional[Executor],
+        results: "list[Optional[PricingResult]]",
+        specs: Sequence[OptionSpec],
+        steps: int,
+        kwargs: dict,
+        chunks: "list[tuple[int, int]]",
+        deadline: Optional[Deadline],
+        retry: Optional[RetryPolicy],
+        plan: Optional[FaultPlan],
+        pricers: "Optional[list]",
+    ) -> tuple[float, dict, Optional[dict], list]:
+        """Price ``chunks`` into ``results`` in place; returns
+        ``(cells_wall, rmeta, engine_info, worker_tracks)``.
+
+        Every dispatch prices one ``[lo, hi)`` span as one batch
+        (:func:`_price_chunk`).  With ``pool=None`` the spans run inline on
+        one fresh engine carrying the telemetry and the deadline's
+        checkpoint, and each span settles — its retries and isolated cells
+        included — before the next one starts.  Otherwise they run on the
+        pool through ``submit`` + ``wait(FIRST_COMPLETED)``.  A failed
+        dispatch walks one ladder on either executor:
+
+        1. ``BrokenExecutor`` (pool only) — the pool died under the span.
+           The first future of the current pool *generation* to observe
+           the break rebuilds the pool (once); the failure then continues
+           down the ladder, so only the dead worker's chunks re-price.
+        2. no retry policy → the failure propagates at once (no isolation,
+           no rebuild first).
+        3. transient + attempts left → jittered backoff (clamped to the
+           deadline) and re-dispatch of the whole span at ``attempt + 1``.
+        4. exhausted or non-transient multi-cell span → single-cell
+           dispatches (same attempt): the poisoned request fails alone,
+           its chunk siblings are served.
+        5. single cell, exhausted or non-transient → failure marker.
+
+        Every served row passes :func:`validate_row`; a corrupted row
+        re-enters the ladder as a single-cell failure.  A deadline never
+        reaches the ladder (``DeadlineExceeded`` is an ``OSError``, which
+        a retry policy counts as transient): a span dispatched after the
+        budget is spent, preempted mid-solve by the inline checkpoint, or
+        still outstanding when the pool's ``wait`` times out comes back as
+        timeout markers — finished cells always keep their bit-exact
+        prices.
+        """
+        tel = self.telemetry
+        journal = NULL_JOURNAL if tel is None else tel.journal
+        h_chunk = None if tel is None else tel.histogram(
+            "risk_chunk_seconds", help="in-worker wall seconds per chunk"
+        )
         rmeta: dict = {
             "retries": 0,
             "pool_rebuilds": 0,
@@ -824,199 +794,35 @@ class ScenarioEngine:
         }
         if deadline is not None:
             rmeta["deadline_budget_s"] = deadline.budget
-        if fault_plan is not None and fault_plan.seed is not None:
-            rmeta["fault_seed"] = fault_plan.seed
-        return rmeta
-
-    def _solve_serial_resilient(
-        self,
-        results: "list[Optional[PricingResult]]",
-        specs: Sequence[OptionSpec],
-        steps: int,
-        kwargs: dict,
-        deadline: Optional[Deadline],
-        retry: Optional[RetryPolicy],
-        plan: Optional[FaultPlan],
-        pricers: "Optional[list]" = None,
-    ) -> tuple[float, dict, dict]:
-        """Serial resilient loop: one engine, cell-by-cell, cooperative
-        deadline preemption via the engine's ``checkpoint`` hook.
-
-        Fills ``results`` in place; returns ``(cells_wall, rmeta,
-        engine_info)``.
-        """
-        engine = AdvanceEngine(self.policy)
-        if deadline is not None:
-            engine.checkpoint = deadline.checkpoint
-        rmeta = self._fresh_rmeta(deadline, plan)
+        if plan is not None and plan.seed is not None:
+            rmeta["fault_seed"] = plan.seed
         rng = retry.rng() if retry is not None else None
         mm = (kwargs["model"], kwargs["method"])
-        journal = self.telemetry.journal if self.telemetry is not None \
-            else NULL_JOURNAL
         cells_wall = 0.0
-        deadline_announced = False
-        for idx, spec in enumerate(specs):
-            if deadline is not None and deadline.expired:
-                if not deadline_announced:
-                    deadline_announced = True
-                    journal.emit(
-                        "deadline_expired", budget_s=deadline.budget,
-                        first_cell=idx,
-                    )
-                results[idx] = timeout_result(
-                    steps, *mm, detail="budget spent before solve"
-                )
-                rmeta["timeouts"].append(idx)
-                journal.emit(
-                    "timeout_marker", cell=idx,
-                    detail="budget spent before solve",
-                )
-                continue
-            attempt = 0
-            while True:
-                t0 = time.perf_counter()
-                try:
-                    if plan is not None:
-                        plan.before(idx, attempt)
-                    if pricers is None:
-                        r = price_many(
-                            [spec], steps, engine=engine, **kwargs
-                        )[0]
-                    else:
-                        r = price_many(
-                            [spec], steps, engine=engine,
-                            pricer=pricers[idx], **kwargs,
-                        )[0]
-                    if plan is not None:
-                        r = plan.after(idx, attempt, r)
-                    validate_row(r)
-                except DeadlineExceeded:
-                    # checkpoint fired mid-solve: this cell times out, the
-                    # pre-loop check marks every later cell without solving
-                    cells_wall += time.perf_counter() - t0
-                    if not deadline_announced:
-                        deadline_announced = True
-                        journal.emit(
-                            "deadline_expired", budget_s=deadline.budget,
-                            first_cell=idx,
-                        )
-                    results[idx] = timeout_result(
-                        steps, *mm, detail="preempted mid-solve"
-                    )
-                    rmeta["timeouts"].append(idx)
-                    journal.emit(
-                        "timeout_marker", cell=idx,
-                        detail="preempted mid-solve",
-                    )
-                    break
-                except Exception as exc:
-                    cells_wall += time.perf_counter() - t0
-                    if isinstance(exc, CorruptedResult):
-                        rmeta["corrupt_detected"] += 1
-                        journal.emit(
-                            "corrupt_detected", cell=idx, attempt=attempt,
-                        )
-                    if (
-                        retry is not None
-                        and retry.is_transient(exc)
-                        and attempt + 1 < retry.max_attempts
-                    ):
-                        rmeta["retries"] += 1
-                        delay = retry.delay(attempt, rng)
-                        if deadline is not None:
-                            delay = deadline.sleep_budget(delay)
-                        journal.emit(
-                            "retry", cell=idx, attempt=attempt,
-                            delay_s=delay, error=type(exc).__name__,
-                        )
-                        if delay > 0.0:
-                            retry.sleep(delay)
-                        attempt += 1
-                        continue
-                    if retry is None:
-                        # deadline/fault-only resilience keeps the original
-                        # raise-through failure contract
-                        raise
-                    results[idx] = failure_result(steps, *mm, exc)
-                    rmeta["failed"][idx] = f"{type(exc).__name__}: {exc}"
-                    journal.emit(
-                        "cell_failed", cell=idx, error=type(exc).__name__,
-                    )
-                    break
-                else:
-                    cells_wall += time.perf_counter() - t0
-                    results[idx] = r
-                    break
-        engine.checkpoint = None
-        return cells_wall, rmeta, engine.cache_info()
-
-    def _solve_pooled_resilient(
-        self,
-        pool: Executor,
-        results: "list[Optional[PricingResult]]",
-        specs: Sequence[OptionSpec],
-        steps: int,
-        kwargs: dict,
-        chunks: "list[tuple[int, int]]",
-        deadline: Optional[Deadline],
-        retry: Optional[RetryPolicy],
-        plan: Optional[FaultPlan],
-        pricers: "Optional[list]" = None,
-    ) -> tuple[float, dict, list]:
-        """Pooled resilient loop: ``submit`` + ``wait(FIRST_COMPLETED)``.
-
-        Fills ``results`` in place; returns ``(cells_wall, rmeta,
-        worker_tracks)``.
-
-        Recovery ladder, per completed-with-error chunk:
-
-        1. ``BrokenExecutor`` — the pool died under the chunk.  The first
-           future of the current pool *generation* to observe the break
-           rebuilds the pool (once); every affected chunk then re-enters
-           the ladder as a transient failure, so only the dead worker's
-           chunks re-price.
-        2. transient + attempts left → jittered backoff (clamped to the
-           deadline) and re-dispatch with ``attempt + 1``.
-        3. non-transient in a multi-cell chunk → split into single-cell
-           dispatches (same attempt): the poisoned request fails alone,
-           its chunk siblings are served.
-        4. single cell, exhausted or non-transient → failure marker (or
-           raise, when no retry policy is in force).
-
-        Rows of successful chunks are validated; corrupted rows re-enter
-        the ladder as single-cell transient failures.  When the deadline
-        expires with futures outstanding, their unfilled cells become
-        timeout markers and the pool is cancelled — finished cells always
-        keep their bit-exact prices.
-        """
-        rmeta = self._fresh_rmeta(deadline, plan)
-        rng = retry.rng() if retry is not None else None
-        mm = (kwargs["model"], kwargs["method"])
-        journal = self.telemetry.journal if self.telemetry is not None \
-            else NULL_JOURNAL
-        cells_wall = 0.0
+        deltas: list[dict] = []
         worker_tracks: list[dict] = []
-        generation = 0
-        pending: dict = {}  # future -> (lo, hi, attempt, generation)
 
-        def dispatch(lo: int, hi: int, attempt: int) -> None:
-            payload = (
-                lo, list(specs[lo:hi]), steps, kwargs, self.policy,
-                attempt, plan,
-                None if pricers is None else pricers[lo:hi],
-            )
-            pending[pool.submit(_price_cells, payload)] = (
-                lo, hi, attempt, generation,
-            )
+        def expire(lo: int, hi: int, detail: str) -> None:
+            if not rmeta["timeouts"]:
+                journal.emit(
+                    "deadline_expired", budget_s=deadline.budget,
+                    first_cell=lo,
+                )
+            for cell in range(lo, hi):
+                results[cell] = timeout_result(steps, *mm, detail=detail)
+                rmeta["timeouts"].append(cell)
+                journal.emit("timeout_marker", cell=cell, detail=detail)
 
-        def handle_failure(
-            lo: int, hi: int, attempt: int, exc: BaseException
-        ) -> None:
-            if (
-                retry is not None
-                and retry.is_transient(exc)
-                and attempt + 1 < retry.max_attempts
-            ):
+        def fail(lo: int, hi: int, attempt: int, exc: Exception) -> list:
+            """Walk the ladder; returns the follow-up dispatches."""
+            if deadline is not None and isinstance(exc, DeadlineExceeded):
+                # the inline checkpoint fired: lockstep solves finish
+                # together, so the whole span times out
+                expire(lo, hi, "preempted mid-solve")
+                return []
+            if retry is None:
+                raise exc
+            if retry.is_transient(exc) and attempt + 1 < retry.max_attempts:
                 rmeta["retries"] += 1
                 delay = retry.delay(attempt, rng)
                 if deadline is not None:
@@ -1027,28 +833,91 @@ class ScenarioEngine:
                 )
                 if delay > 0.0:
                     retry.sleep(delay)
-                dispatch(lo, hi, attempt + 1)
-            elif hi - lo > 1:
+                return [(lo, hi, attempt + 1)]
+            if hi - lo > 1:
                 # a poisoned request must fail alone, not take its chunk
                 # siblings down with it
                 rmeta["isolated"] += 1
                 journal.emit(
                     "isolate", lo=lo, hi=hi, error=type(exc).__name__,
                 )
-                for cell in range(lo, hi):
-                    dispatch(cell, cell + 1, attempt)
-            elif retry is None:
-                raise exc
-            else:
-                results[lo] = failure_result(steps, *mm, exc)
-                rmeta["failed"][lo] = f"{type(exc).__name__}: {exc}"
-                journal.emit(
-                    "cell_failed", cell=lo, error=type(exc).__name__,
+                return [(cell, cell + 1, attempt) for cell in range(lo, hi)]
+            results[lo] = failure_result(steps, *mm, exc)
+            rmeta["failed"][lo] = f"{type(exc).__name__}: {exc}"
+            journal.emit("cell_failed", cell=lo, error=type(exc).__name__)
+            return []
+
+        def serve(lo: int, attempt: int, rows: list, seconds: float) -> list:
+            """Accept a finished span's rows; returns the follow-ups."""
+            nonlocal cells_wall
+            cells_wall += seconds
+            if h_chunk is not None:
+                h_chunk.observe(seconds)
+            follow: list = []
+            for cell, r in enumerate(rows, lo):
+                try:
+                    validate_row(r)
+                except CorruptedResult as exc:
+                    rmeta["corrupt_detected"] += 1
+                    journal.emit(
+                        "corrupt_detected", cell=cell, attempt=attempt,
+                    )
+                    follow += fail(cell, cell + 1, attempt, exc)
+                else:
+                    results[cell] = r
+            return follow
+
+        def cell_pricers(lo: int, hi: int) -> Optional[list]:
+            return None if pricers is None else pricers[lo:hi]
+
+        if pool is None:
+            engine = AdvanceEngine(self.policy)
+            if tel is not None:
+                engine.set_telemetry(tel, register=False)
+            if deadline is not None:
+                engine.checkpoint = deadline.checkpoint
+            todo = [(lo, hi, 0) for lo, hi in reversed(chunks)]  # LIFO
+            while todo:
+                lo, hi, attempt = todo.pop()
+                if deadline is not None and deadline.expired:
+                    expire(lo, hi, "budget spent before solve")
+                    continue
+                try:
+                    with (
+                        NULL_SPAN
+                        if tel is None
+                        else tel.span("chunk", lo=lo, hi=hi)
+                    ):
+                        rows, seconds = _price_chunk(
+                            engine, lo, specs[lo:hi], steps, kwargs,
+                            attempt, plan, cell_pricers(lo, hi),
+                        )
+                except Exception as exc:
+                    follow = fail(lo, hi, attempt, exc)
+                else:
+                    follow = serve(lo, attempt, rows, seconds)
+                todo.extend(reversed(follow))
+            return cells_wall, rmeta, engine.cache_info(), worker_tracks
+
+        generation = 0
+        pending: dict = {}  # future -> (lo, hi, attempt, generation)
+
+        def submit(work: list) -> None:
+            for lo, hi, attempt in work:
+                if deadline is not None and deadline.expired:
+                    expire(lo, hi, "budget spent before solve")
+                    continue
+                payload = (
+                    lo, specs[lo:hi], steps, kwargs, self.policy,
+                    attempt, plan, cell_pricers(lo, hi),
+                )
+                pending[pool.submit(_pool_chunk, payload)] = (
+                    lo, hi, attempt, generation,
                 )
 
+        timed_out = False
         try:
-            for lo, hi in chunks:
-                dispatch(lo, hi, 0)
+            submit([(lo, hi, 0) for lo, hi in chunks])
             while pending:
                 timeout = deadline.remaining() if deadline is not None else None
                 done, _ = wait(
@@ -1057,30 +926,23 @@ class ScenarioEngine:
                 )
                 if not done:
                     # budget spent with futures outstanding: partial return
-                    journal.emit(
-                        "deadline_expired", budget_s=deadline.budget,
-                        outstanding_chunks=len(pending),
-                    )
-                    for fut, (lo, hi, _a, _g) in pending.items():
+                    timed_out = True
+                    for fut, (lo, hi, _a, _g) in sorted(
+                        pending.items(), key=lambda item: item[1][0]
+                    ):
                         fut.cancel()
-                        for cell in range(lo, hi):
-                            if results[cell] is None:
-                                results[cell] = timeout_result(
-                                    steps, *mm, detail="chunk unfinished"
-                                )
-                                rmeta["timeouts"].append(cell)
-                                journal.emit(
-                                    "timeout_marker", cell=cell,
-                                    detail="chunk unfinished",
-                                )
-                    pending.clear()
+                        expire(lo, hi, "chunk unfinished")
                     break
                 for fut in done:
                     lo, hi, attempt, fut_generation = pending.pop(fut)
                     try:
-                        _lo, chunk_results, seconds, track = fut.result()
-                    except BrokenExecutor as exc:
-                        if fut_generation == generation:
+                        rows, seconds, delta, track = fut.result()
+                    except Exception as exc:
+                        if (
+                            retry is not None
+                            and isinstance(exc, BrokenExecutor)
+                            and fut_generation == generation
+                        ):
                             # first observer of this break rebuilds; sibling
                             # futures from the dead generation fall through
                             # to the ladder without rebuilding again
@@ -1092,27 +954,13 @@ class ScenarioEngine:
                             )
                             pool.shutdown(wait=False, cancel_futures=True)
                             pool = self._make_pool()
-                        handle_failure(lo, hi, attempt, exc)
+                        submit(fail(lo, hi, attempt, exc))
                         continue
-                    except Exception as exc:
-                        handle_failure(lo, hi, attempt, exc)
-                        continue
-                    cells_wall += seconds
+                    deltas.append(delta)
                     worker_tracks.append(track)
-                    for i, r in enumerate(chunk_results):
-                        cell = lo + i
-                        try:
-                            validate_row(r)
-                        except CorruptedResult as exc:
-                            rmeta["corrupt_detected"] += 1
-                            journal.emit(
-                                "corrupt_detected", cell=cell,
-                                attempt=attempt,
-                            )
-                            handle_failure(cell, cell + 1, attempt, exc)
-                        else:
-                            results[cell] = r
+                    submit(serve(lo, attempt, rows, seconds))
         finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-        rmeta["timeouts"].sort()
-        return cells_wall, rmeta, worker_tracks
+            # a clean return (or a raise) waits for the workers, as
+            # ``with pool:`` does; only a deadline abandons running futures
+            pool.shutdown(wait=not timed_out, cancel_futures=True)
+        return cells_wall, rmeta, _merge_engine_deltas(deltas), worker_tracks

@@ -222,11 +222,11 @@ class QuoteService:
     retry, fault_plan:
         Optional :class:`~repro.resilience.retry.RetryPolicy` /
         :class:`~repro.resilience.faults.FaultPlan` forwarded to the
-        solve tier.  When either is set, bucket solves route through a
-        resilient :class:`ScenarioEngine` dispatch (serial-backend when
-        ``workers == 1``) so transient worker failures re-dispatch and
-        exhausted failures come back as per-cell markers instead of
-        batch-wide exceptions.
+        solve tier.  When either is set, every bucket solve routes
+        through the :class:`ScenarioEngine` recovery loop
+        (serial-backend when ``workers == 1``): each chunk still prices
+        as one batch, transient failures re-dispatch, and exhausted ones
+        come back as per-cell markers instead of batch-wide exceptions.
     stale_grace:
         Stale-while-revalidate window (seconds) for the internally-built
         cache: expired entries remain servable — explicitly marked
@@ -330,9 +330,9 @@ class QuoteService:
 
         self.telemetry = tel = _tel_active(telemetry)
         self._engine = AdvanceEngine(policy)
-        # A retry/fault configuration needs the scenario engine's resilient
-        # dispatch even on one worker — a serial-backend engine gives the
-        # same per-cell recovery ladder without a pool.
+        # A retry/fault configuration needs the scenario engine's recovery
+        # loop even on one worker — a serial-backend engine walks the
+        # same ladder inline, without a pool.
         resilient_solves = retry is not None or fault_plan is not None
         self._scenario = (
             ScenarioEngine(
@@ -504,8 +504,8 @@ class QuoteService:
             # worker pools build their own per-worker engines (no mutex);
             # the pool is built per call, so only buckets big enough to
             # amortise its startup fan out — or any bucket when a
-            # retry/fault configuration wants the resilient per-cell
-            # dispatch — leave the serial shared engine
+            # retry/fault configuration wants the scenario engine's
+            # recovery ladder — leave the serial shared engine
             results = self._scenario.price_specs(
                 specs, r0.steps, model=r0.model, method=r0.method,
                 base=r0.base, lam=r0.lam, deadline=deadline,

@@ -180,7 +180,11 @@ class TestSerialIncidents:
             == [3]
         corrupt = tel.journal.events("corrupt_detected")
         assert [e.fields["cell"] for e in corrupt] == [5]
-        retried = {e.fields["cell"] for e in tel.journal.events("retry")}
+        retried = {
+            cell
+            for e in tel.journal.events("retry")
+            for cell in range(e.fields["lo"], e.fields["hi"])
+        }
         assert {1, 5}.issubset(retried) or {1}.issubset(retried)
         # cell 3's exhausted attempts also appear as retries
         assert journal_counts(tel)["retry"] == rmeta["retries"]
@@ -197,7 +201,7 @@ class TestSerialIncidents:
             FaultPlan(delays={3: 5.0}, sleep=fake_clock.advance, seed=24),
             "serial-deadline",
         )
-        eng = ScenarioEngine(backend="serial", telemetry=tel)
+        eng = ScenarioEngine(backend="serial", chunk_size=1, telemetry=tel)
         res = eng.price_grid(
             specs, 96, deadline=Deadline(1.0, clock=fake_clock),
             retry=quiet_retry(), fault_plan=plan,
@@ -213,6 +217,39 @@ class TestSerialIncidents:
         assert all(
             m.fields["detail"] == "budget spent before solve"
             for m in markers[1:]
+        )
+        assert_journal_matches_rmeta(tel, rmeta)
+
+    def test_deadline_preempts_a_whole_chunk(self, fake_clock, record_plan):
+        # lockstep solves finish together: the chunk holding the delayed
+        # cell times out whole, earlier chunks keep their bit-exact prices
+        specs = strikes(8)
+        clean = ScenarioEngine(backend="serial").price_grid(specs, 96)
+        tel = Telemetry()
+        plan = record_plan(
+            FaultPlan(delays={3: 5.0}, sleep=fake_clock.advance, seed=24),
+            "serial-deadline-chunked",
+        )
+        eng = ScenarioEngine(backend="serial", chunk_size=2, telemetry=tel)
+        res = eng.price_grid(
+            specs, 96, deadline=Deadline(1.0, clock=fake_clock),
+            retry=quiet_retry(), fault_plan=plan,
+        )
+        rmeta = res.meta["resilience"]
+        assert [r.price for r in res.results[:2]] == [
+            r.price for r in clean.results[:2]
+        ]
+        assert rmeta["timeouts"] == [2, 3, 4, 5, 6, 7]
+        (expired,) = tel.journal.events("deadline_expired")
+        assert expired.fields == {"budget_s": 1.0, "first_cell": 2}
+        markers = tel.journal.events("timeout_marker")
+        assert [e.fields["cell"] for e in markers] == [2, 3, 4, 5, 6, 7]
+        assert [m.fields["detail"] for m in markers[:2]] == [
+            "preempted mid-solve"
+        ] * 2
+        assert all(
+            m.fields["detail"] == "budget spent before solve"
+            for m in markers[2:]
         )
         assert_journal_matches_rmeta(tel, rmeta)
 

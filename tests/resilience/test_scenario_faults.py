@@ -15,6 +15,7 @@ import pytest
 
 from repro.options.contract import paper_benchmark_spec
 from repro.resilience import Deadline, FaultPlan, RetryPolicy
+from repro.resilience.faults import CorruptedResult
 from repro.resilience.markers import is_served, is_timeout
 from repro.risk.engine import ScenarioEngine
 
@@ -72,24 +73,36 @@ class TestBitIdenticalRecovery:
         ]
         assert res.meta["resilience"]["corrupt_detected"] == 2
 
-    def test_same_plan_same_counters_across_backends(self, baseline, record_plan):
-        # determinism: the fault schedule keys on (cell, attempt), so the
-        # serial and threaded runs see the identical failure sequence
+    @pytest.mark.parametrize("chunk_size", [1, 2, 4])
+    def test_same_plan_same_counters_across_backends(
+        self, baseline, record_plan, chunk_size
+    ):
+        # determinism: the fault schedule keys on (cell, attempt) and both
+        # executors walk one recovery ladder, so the serial and threaded
+        # runs see the identical failure sequence at any chunking
         specs, _ = baseline
+        plan = FaultPlan.random(99, len(specs), crash_rate=0.4, attempts=1)
         plan = record_plan(
-            FaultPlan.random(99, len(specs), crash_rate=0.4, attempts=1),
+            dataclasses.replace(plan, crashes={**plan.crashes, 5: 10**6}),
             "cross-backend",
         )
-        metas = []
+        counters = []
         for backend, workers in (("serial", 1), ("thread", 2)):
             eng = ScenarioEngine(
-                backend=backend, workers=workers, chunk_size=1
+                backend=backend, workers=workers, chunk_size=chunk_size
             )
             res = eng.price_grid(
                 specs, 64, retry=quiet_retry(), fault_plan=plan
             )
-            metas.append(res.meta["resilience"]["retries"])
-        assert metas[0] == metas[1] == len(plan.crashes)
+            rmeta = res.meta["resilience"]
+            counters.append(
+                (
+                    rmeta["retries"], rmeta["isolated"],
+                    rmeta["corrupt_detected"], rmeta["failed"],
+                )
+            )
+        assert counters[0] == counters[1]
+        assert list(counters[0][3]) == [5]  # the poisoned cell fails alone
 
 
 class TestPoisonIsolation:
@@ -119,6 +132,39 @@ class TestPoisonIsolation:
             eng.price_grid(specs, 64, fault_plan=plan)
 
 
+class TestOneDispatcher:
+    """Plain and resilient grids run one loop, so each gains what the
+    other had: resilient pool grids report engine counters, and plain
+    grids validate the rows they serve."""
+
+    def test_resilient_pool_grid_reports_engine_counters(self, baseline):
+        specs, _ = baseline
+        eng = ScenarioEngine(backend="thread", workers=2, chunk_size=2)
+        plain = eng.price_grid(specs, 128)
+        resilient = eng.price_grid(
+            specs, 128, deadline=Deadline(3600.0), retry=quiet_retry()
+        )
+        info = resilient.meta["engine"]
+        assert set(info) == set(plain.meta["engine"])
+        assert info["advances"] == plain.meta["engine"]["advances"]
+
+    def test_plain_grid_rejects_a_corrupted_row(self, baseline, monkeypatch):
+        import repro.risk.engine as engine_mod
+
+        specs, _ = baseline
+        real_price_many = engine_mod.price_many
+
+        def nan_first_row(*args, **kwargs):
+            rows = real_price_many(*args, **kwargs)
+            bad = rows[0].scaled(1.0)
+            bad.price = float("nan")
+            return [bad, *rows[1:]]
+
+        monkeypatch.setattr(engine_mod, "price_many", nan_first_row)
+        with pytest.raises(CorruptedResult):
+            ScenarioEngine(backend="serial").price_grid(specs, 64)
+
+
 class TestDeadlines:
     def test_serial_preemption_marks_remaining_cells(self, fake_clock, baseline):
         specs, clean = baseline
@@ -126,7 +172,7 @@ class TestDeadlines:
         # so exactly the cells before the delayed one are served
         plan = FaultPlan(delays={3: 5.0}, sleep=fake_clock.advance, seed=15)
         deadline = Deadline(1.0, clock=fake_clock)
-        eng = ScenarioEngine(backend="serial")
+        eng = ScenarioEngine(backend="serial", chunk_size=1)
         res = eng.price_grid(
             specs, 128, deadline=deadline, retry=quiet_retry(),
             fault_plan=plan,
@@ -137,6 +183,25 @@ class TestDeadlines:
             else:
                 assert is_timeout(r)
         assert res.meta["resilience"]["timeouts"] == [3, 4, 5, 6, 7]
+
+    def test_serial_preemption_is_chunk_granular(self, fake_clock, baseline):
+        specs, clean = baseline
+        # the delayed cell 3 shares chunk [2, 4) with cell 2: the lockstep
+        # solve is preempted whole, so the chunk times out together
+        plan = FaultPlan(delays={3: 5.0}, sleep=fake_clock.advance, seed=15)
+        deadline = Deadline(1.0, clock=fake_clock)
+        eng = ScenarioEngine(backend="serial", chunk_size=2)
+        res = eng.price_grid(
+            specs, 128, deadline=deadline, retry=quiet_retry(),
+            fault_plan=plan,
+        )
+        for i, (r, c) in enumerate(zip(res.results, clean.results)):
+            if i < 2:
+                assert r.price == c.price  # earlier chunk stays bit-exact
+            else:
+                assert is_timeout(r)
+        assert res.meta["resilience"]["timeouts"] == [2, 3, 4, 5, 6, 7]
+        assert res.results[2].meta["detail"] == "preempted mid-solve"
 
     def test_expired_deadline_marks_everything(self, fake_clock):
         specs = strikes(4)
