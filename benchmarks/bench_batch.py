@@ -5,12 +5,12 @@ Writes ``BENCH_batch.json`` (repo root by default) with three measurements:
 1. **American scenario grid** — a 1024-cell vol × rate × spot grid (every
    cell a *different* kernel) priced through the
    :class:`~repro.risk.engine.ScenarioEngine` serial path, which now rides
-   ``price_many`` -> ``solve_batch`` -> lockstep ``advance_batch``, against
-   the per-cell ``price_american`` loop on one shared engine (the pre-batch
-   behaviour).  Acceptance gates: bit-level agreement (≤ 1e-12 relative),
-   the grid's engine counters showing ``advance_batch`` rounds, and the
-   Python-level transform-call consolidation (one batched call per lockstep
-   round instead of one per cell-advance).
+   ``price_many`` -> the lattice dispatcher -> lockstep ``advance_batch``,
+   against the per-cell ``price_american`` loop on one shared engine (the
+   pre-batch behaviour).  Acceptance gates: bit-level agreement (≤ 1e-12
+   relative), the grid's engine counters showing ``advance_batch`` rounds,
+   and the Python-level transform-call consolidation (one batched call per
+   lockstep round instead of one per cell-advance).
 2. **European scenario grid** — the same cells European: the whole grid
    collapses into a single multi-kernel jump.
 3. **64-quote implied-vol ladder** — ``implied_vol_many(lockstep=True)``

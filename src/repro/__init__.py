@@ -39,7 +39,6 @@ from repro.core.api import (
     price_european,
     price_bermudan,
     price_many,
-    solve_batch,
     exercise_boundary,
 )
 from repro.core.backend import (
@@ -112,7 +111,6 @@ __all__ = [
     "price_european",
     "price_bermudan",
     "price_many",
-    "solve_batch",
     "exercise_boundary",
     "__version__",
 ]

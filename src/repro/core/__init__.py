@@ -9,7 +9,6 @@ from repro.core.api import (
     price_bermudan,
     price_european,
     price_many,
-    solve_batch,
 )
 from repro.core.backend import (
     PricerBackend,
@@ -30,7 +29,6 @@ from repro.core.fftstencil import (
     DEFAULT_POLICY,
     advance,
 )
-from repro.core.symmetry import solve_put_via_symmetry
 from repro.core.tree_solver import TreeFFTResult, solve_tree_fft, solve_tree_fft_batch
 from repro.core.weights import (
     binomial_weights,
@@ -52,7 +50,6 @@ __all__ = [
     "price_bermudan",
     "price_european",
     "price_many",
-    "solve_batch",
     "price_bsm_european_fft",
     "price_tree_bermudan_fft",
     "price_tree_bermudan_fft_batch",
@@ -64,7 +61,6 @@ __all__ = [
     "AdvancePolicy",
     "DEFAULT_POLICY",
     "advance",
-    "solve_put_via_symmetry",
     "TreeFFTResult",
     "solve_tree_fft",
     "solve_tree_fft_batch",

@@ -29,16 +29,12 @@ import numpy as np
 
 from repro.baselines.registry import BASELINES
 from repro.core.backend import get_backend, register_backend
-from repro.core.bermudan import (
-    price_bsm_european_fft,
-    price_tree_bermudan_fft,
-    price_tree_european_fft,
-)
-from repro.core.bsm_solver import DEFAULT_BSM_BASE, solve_bsm_fft, solve_bsm_fft_batch
+from repro.core.bermudan import price_tree_bermudan_fft
+from repro.core.bsm_solver import DEFAULT_BSM_BASE, solve_bsm_fft_batch
 from repro.core.fftstencil import DEFAULT_POLICY, AdvanceEngine, AdvancePolicy
 from repro.core.metrics import SolveStats
-from repro.core.symmetry import solve_put_via_symmetry
-from repro.core.tree_solver import DEFAULT_BASE, solve_tree_fft, solve_tree_fft_batch
+from repro.core.symmetry import canonicalize_right
+from repro.core.tree_solver import DEFAULT_BASE, solve_tree_fft_batch
 from repro.lattice.binomial import price_binomial
 from repro.lattice.blackscholes_fd import price_bsm_fd
 from repro.lattice.trinomial import price_trinomial
@@ -106,10 +102,6 @@ def check_model_method(model: str, method: str) -> None:
     (:mod:`repro.service.canonical`), so a malformed request fails at
     submission rather than deep inside a coalesced batch.
     """
-    _check_model_method(model, method)
-
-
-def _check_model_method(model: str, method: str) -> None:
     if model not in MODELS:
         raise ValidationError(f"unknown model {model!r}; choose one of {MODELS}")
     if model == "binomial":
@@ -151,11 +143,12 @@ def price_american(
       (see :func:`price_many`); default is a fresh engine per solve.
     * ``backend`` selects the registered
       :class:`~repro.core.backend.PricerBackend`: ``"lattice"`` (default)
-      is *this* module's historical solve path — exact, bit-identical to
-      every release before the registry existed — while ``"spectral"``
-      answers from the Chebyshev-collocation fast pricer
-      (:mod:`repro.core.spectral`) within its stated tolerance.  Every
-      result records the serving backend as ``meta["backend"]``.
+      runs the paper's solvers exactly — a lone contract is the B = 1 case
+      of the :func:`price_many` batch — while ``"spectral"`` answers from
+      the Chebyshev-collocation fast pricer (:mod:`repro.core.spectral`)
+      within its stated tolerance.  The contract is priced American on
+      every backend, whatever its ``style``.  Every result records the
+      serving backend as ``meta["backend"]``.
     * American calls on a zero-dividend underlying are never exercised
       early (Merton 1973,
       :func:`repro.options.analytic.no_early_exercise_call`), so the tree
@@ -171,116 +164,9 @@ def price_american(
       dividend is never a bump axis, so the call shortcut cannot mix.
     """
     return get_backend(backend).price_spec(
-        spec, steps, model=model, method=method, base=base, lam=lam,
-        policy=policy, engine=engine, return_boundary=return_boundary,
-    )
-
-
-def _lattice_price_spec(
-    spec: OptionSpec,
-    steps: int,
-    *,
-    model: str = "binomial",
-    method: str = "fft",
-    base: Optional[int] = None,
-    lam: Optional[float] = None,
-    policy: AdvancePolicy = DEFAULT_POLICY,
-    engine: Optional[AdvanceEngine] = None,
-    return_boundary: bool = False,
-) -> PricingResult:
-    """The lattice backend's single-contract solve — the historical body
-    of :func:`price_american`, byte-for-byte."""
-    steps = check_integer("steps", steps, minimum=1)
-    _check_model_method(model, method)
-    spec = spec.with_style(Style.AMERICAN)
-
-    if (
-        model in ("binomial", "trinomial")
-        and not return_boundary
-        and no_early_exercise_call(spec)
-    ):
-        # zero-dividend American call == European call == the closed form;
-        # the whole O(T log²T) (or Θ(T²)) solve would only rediscover it
-        return PricingResult(
-            black_scholes(spec).price, steps, model, method,
-            meta={"closed_form": "black-scholes", "no_early_exercise": True},
-        )
-
-    if model == "bsm-fd":
-        if method == "fft":
-            params = BSMGridParams.from_spec(spec, steps, lam=lam)
-            r = solve_bsm_fft(
-                params,
-                base=DEFAULT_BSM_BASE if base is None else base,
-                policy=policy,
-                engine=engine,
-                record_boundary=return_boundary,
-            )
-            return PricingResult(
-                r.price, steps, model, method, r.workspan, r.stats.as_dict(),
-                r.boundary.points if r.boundary else None, r.meta,
-            )
-        r = price_bsm_fd(spec, steps, lam=lam, return_boundary=return_boundary)
-        return PricingResult(
-            r.price, steps, model, method, r.workspan,
-            {"cells_evaluated": r.cells}, r.boundary, r.meta,
-        )
-
-    # tree models
-    if method == "fft":
-        if spec.right is Right.PUT:
-            r = solve_put_via_symmetry(
-                spec, steps, model=model,
-                base=DEFAULT_BASE if base is None else base,
-                policy=policy, engine=engine,
-                record_boundary=return_boundary,
-            )
-        else:
-            params = (
-                BinomialParams.from_spec(spec, steps)
-                if model == "binomial"
-                else TrinomialParams.from_spec(spec, steps)
-            )
-            r = solve_tree_fft(
-                params,
-                base=DEFAULT_BASE if base is None else base,
-                policy=policy,
-                engine=engine,
-                record_boundary=return_boundary,
-            )
-        return PricingResult(
-            r.price, steps, model, method, r.workspan, r.stats.as_dict(),
-            r.boundary.points if r.boundary else None, r.meta,
-        )
-
-    if model == "trinomial":
-        r = price_trinomial(spec, steps, return_boundary=return_boundary)
-        return PricingResult(
-            r.price, steps, model, method, r.workspan,
-            {"cells_evaluated": r.cells}, r.boundary, r.meta,
-        )
-
-    # binomial baselines; only 'loop' supports puts and boundary extraction
-    if method == "loop":
-        r = price_binomial(spec, steps, return_boundary=return_boundary)
-        return PricingResult(
-            r.price, steps, model, method, r.workspan,
-            {"cells_evaluated": r.cells}, r.boundary, r.meta,
-        )
-    if spec.right is Right.PUT:
-        raise ValidationError(
-            f"baseline {method!r} implements the paper's American-call "
-            "benchmark; use method='loop' or 'fft' for puts"
-        )
-    if return_boundary:
-        raise ValidationError(
-            f"baseline {method!r} does not track the exercise divider; "
-            "use method='loop' or 'fft'"
-        )
-    r = BASELINES[method](spec, steps)
-    return PricingResult(
-        r.price, steps, model, method, r.workspan,
-        {"cells_evaluated": r.cells}, None, r.meta,
+        spec.with_style(Style.AMERICAN), steps, model=model, method=method,
+        base=base, lam=lam, policy=policy, engine=engine,
+        return_boundary=return_boundary,
     )
 
 
@@ -295,44 +181,10 @@ def price_european(
     engine: Optional[AdvanceEngine] = None,
 ) -> PricingResult:
     """European pricing: ``fft`` = one O(T log T) jump; ``loop`` = sweep."""
-    steps = check_integer("steps", steps, minimum=1)
-    _check_model_method(model, method)
-    if method not in ("fft", "loop"):
-        raise ValidationError("European pricing supports methods 'fft' and 'loop'")
-    spec = spec.with_style(Style.EUROPEAN)
-
-    if model == "bsm-fd":
-        if method == "fft":
-            params = BSMGridParams.from_spec(spec, steps, lam=lam)
-            r = price_bsm_european_fft(params, policy=policy, engine=engine)
-            return PricingResult(
-                r.price, steps, model, method, r.workspan, r.stats.as_dict(), None, r.meta
-            )
-        lr = price_bsm_fd(spec, steps, lam=lam)
-        return PricingResult(
-            lr.price, steps, model, method, lr.workspan,
-            {"cells_evaluated": lr.cells}, None, lr.meta,
-        )
-
-    if method == "fft":
-        params = (
-            BinomialParams.from_spec(spec, steps)
-            if model == "binomial"
-            else TrinomialParams.from_spec(spec, steps)
-        )
-        r = price_tree_european_fft(params, policy=policy, engine=engine)
-        return PricingResult(
-            r.price, steps, model, method, r.workspan, r.stats.as_dict(), None, r.meta
-        )
-    lr = (
-        price_binomial(spec, steps)
-        if model == "binomial"
-        else price_trinomial(spec, steps)
-    )
-    return PricingResult(
-        lr.price, steps, model, method, lr.workspan,
-        {"cells_evaluated": lr.cells}, None, lr.meta,
-    )
+    return _lattice_price(
+        [spec.with_style(Style.EUROPEAN)], steps, model=model, method=method,
+        lam=lam, policy=policy, engine=engine,
+    )[0]
 
 
 def price_bermudan(
@@ -349,7 +201,7 @@ def price_bermudan(
     steps = check_integer("steps", steps, minimum=1)
     if model == "bsm-fd":
         raise ValidationError("Bermudan exercise is not defined for the FD model")
-    _check_model_method(model, method)
+    check_model_method(model, method)
     if method not in ("fft", "loop"):
         raise ValidationError("Bermudan pricing supports methods 'fft' and 'loop'")
     spec = spec.with_style(Style.BERMUDAN)
@@ -484,23 +336,41 @@ def _batch_european_bsm_fft(
     return results
 
 
-def _wrap_tree_batch(
-    r, spec: OptionSpec, steps: int, model: str, dualized: bool
+def _loop_price(
+    spec: OptionSpec,
+    steps: int,
+    model: str,
+    method: str,
+    lam: Optional[float],
+    record_boundary: bool,
 ) -> PricingResult:
-    """Envelope one lockstep tree solve exactly as price_american would."""
-    if dualized:
-        r.meta["symmetric_dual_of"] = spec
-        r.meta["note"] = (
-            "priced as the dual American call C(K, S, Y, R); "
-            "exact on CRR lattices"
-        )
+    """One contract on a Θ(T²) sweep: the loop solvers or a baseline."""
+    if model == "bsm-fd":
+        r = price_bsm_fd(spec, steps, lam=lam, return_boundary=record_boundary)
+    elif model == "trinomial":
+        r = price_trinomial(spec, steps, return_boundary=record_boundary)
+    elif method == "loop":
+        r = price_binomial(spec, steps, return_boundary=record_boundary)
+    else:
+        # only 'loop' supports puts and boundary extraction
+        if spec.right is Right.PUT:
+            raise ValidationError(
+                f"baseline {method!r} implements the paper's American-call "
+                "benchmark; use method='loop' or 'fft' for puts"
+            )
+        if record_boundary:
+            raise ValidationError(
+                f"baseline {method!r} does not track the exercise divider; "
+                "use method='loop' or 'fft'"
+            )
+        r = BASELINES[method](spec, steps)
     return PricingResult(
-        r.price, steps, model, "fft", r.workspan, r.stats.as_dict(),
-        r.boundary.points if r.boundary else None, r.meta,
+        r.price, steps, model, method, r.workspan,
+        {"cells_evaluated": r.cells}, r.boundary, r.meta,
     )
 
 
-def solve_batch(
+def _lattice_price(
     specs: Sequence[OptionSpec],
     steps: int,
     *,
@@ -510,12 +380,13 @@ def solve_batch(
     lam: Optional[float] = None,
     policy: AdvancePolicy = DEFAULT_POLICY,
     engine: Optional[AdvanceEngine] = None,
-    backend: str = "lattice",
+    record_boundary: bool = False,
 ) -> list[PricingResult]:
-    """Price a batch of contracts in lockstep; results in input order.
+    """Price lattice contracts, lone or batched; results in input order.
 
-    The batch core behind :func:`price_many` (and, through it, scenario
-    grids, Greek bump ladders and coalesced service buckets): contracts
+    The one dispatcher behind every lattice door (:func:`price_american`
+    and :func:`price_european` are its B = 1 calls, :func:`price_many` the
+    batch): each spec is priced per its own ``style``, and contracts
     sharing a *step schedule* — the same exercise structure over the same
     ``steps``, not the same spec — march together, each on its **own**
     kernel, through :meth:`~repro.core.fftstencil.AdvanceEngine.advance_batch`:
@@ -524,141 +395,100 @@ def solve_batch(
       expiry row to the root (one batched rFFT pair for the whole group);
     * **American tree contracts** run their trapezoid recursions in
       lockstep (:func:`~repro.core.tree_solver.solve_tree_fft_batch`); puts
-      join the same batch as their McDonald–Schroder dual calls, exactly as
-      :func:`price_american` prices them serially;
+      join the same batch as their McDonald–Schroder dual calls
+      (:func:`~repro.core.symmetry.canonicalize_right`);
     * **American FD puts** run their cone recursions in lockstep
       (:func:`~repro.core.bsm_solver.solve_bsm_fft_batch`);
-    * zero-dividend American calls keep the closed-form shortcut and skip
-      the lattice entirely.
+    * zero-dividend American tree calls take the closed form and skip the
+      lattice entirely, unless ``record_boundary`` asks for the divider.
 
-    Every result is bit-identical to the corresponding per-contract
-    :func:`price_american` / :func:`price_european` call (batched rows
-    transform exactly as their standalone advances).  Non-``fft`` methods
-    have no batched kernel to share and fall back to the per-contract loop.
+    Batched rows transform exactly as their standalone advances, so a
+    contract's result does not depend on the batch it rides in.  Non-``fft``
+    methods have no batched kernel to share and run per contract.
     Bermudan contracts need explicit dates — use :func:`price_bermudan`.
-
-    ``backend`` routes the whole batch to another registered
-    :class:`~repro.core.backend.PricerBackend` (``"spectral"`` loops the
-    fast pricer over the batch, amortising its plan cache); the default
-    ``"lattice"`` is this module's historical lockstep path, bit-identical.
     """
-    return get_backend(backend).price_batch(
-        specs, steps, model=model, method=method, base=base, lam=lam,
-        policy=policy, engine=engine,
-    )
-
-
-def _lattice_price_batch(
-    specs: Sequence[OptionSpec],
-    steps: int,
-    *,
-    model: str = "binomial",
-    method: str = "fft",
-    base: Optional[int] = None,
-    lam: Optional[float] = None,
-    policy: AdvancePolicy = DEFAULT_POLICY,
-    engine: Optional[AdvanceEngine] = None,
-) -> list[PricingResult]:
-    """The lattice backend's lockstep batch — the historical body of
-    :func:`solve_batch`, byte-for-byte."""
     steps = check_integer("steps", steps, minimum=1)
-    _check_model_method(model, method)
-    for spec in specs:
+    check_model_method(model, method)
+    tree = model != "bsm-fd"
+    results: list[Optional[PricingResult]] = [None] * len(specs)
+    euro_idx: list[int] = []
+    amer_idx: list[int] = []
+    for i, spec in enumerate(specs):
         if spec.style is Style.BERMUDAN:
             raise ValidationError(
-                "solve_batch handles American and European styles; Bermudan "
-                "contracts need exercise dates — call price_bermudan directly"
+                "batch pricing handles American and European styles; "
+                "Bermudan contracts need exercise dates — call "
+                "price_bermudan directly"
             )
-    if engine is None:
-        engine = AdvanceEngine(policy)
-    results: list[Optional[PricingResult]] = [None] * len(specs)
+        if spec.style is Style.EUROPEAN:
+            if method not in ("fft", "loop"):
+                raise ValidationError(
+                    "European pricing supports methods 'fft' and 'loop'"
+                )
+            euro_idx.append(i)
+        elif tree and not record_boundary and no_early_exercise_call(spec):
+            # zero-dividend American call == European call == the closed
+            # form; the whole O(T log²T) (or Θ(T²)) solve would only
+            # rediscover it
+            results[i] = PricingResult(
+                black_scholes(spec).price, steps, model, method,
+                meta={
+                    "closed_form": "black-scholes", "no_early_exercise": True,
+                },
+            )
+        else:
+            amer_idx.append(i)
+
     if method != "fft":
-        for i, spec in enumerate(specs):
-            if spec.style is Style.EUROPEAN:
-                results[i] = price_european(
-                    spec, steps, model=model, method=method, lam=lam,
-                    policy=policy, engine=engine,
-                )
-            else:
-                # through the module-global front door (not the private
-                # lattice body): callers monkeypatch price_american to
-                # count per-contract solves, and the indirection costs one
-                # registry lookup on a path that is per-contract anyway
-                results[i] = price_american(
-                    spec, steps, model=model, method=method, base=base,
-                    lam=lam, policy=policy, engine=engine,
-                )
-        return results  # type: ignore[return-value]
-
-    euro_idx = [i for i, s in enumerate(specs) if s.style is Style.EUROPEAN]
-    amer_idx = [i for i, s in enumerate(specs) if s.style is not Style.EUROPEAN]
-
-    if model in ("binomial", "trinomial"):
-        if euro_idx:
-            for i, r in zip(
-                euro_idx,
-                _batch_european_tree_fft(
-                    [specs[i] for i in euro_idx], steps, model, engine
-                ),
-            ):
-                results[i] = r
-        lattice_idx: list[int] = []
-        params_list: list = []
-        dualized: list[bool] = []
-        cls = BinomialParams if model == "binomial" else TrinomialParams
-        for i in amer_idx:
-            spec = specs[i].with_style(Style.AMERICAN)
-            if no_early_exercise_call(spec):
-                # the closed form needs no lattice — answer it directly,
-                # via the patchable module-global front door (see above)
-                results[i] = price_american(
-                    spec, steps, model=model, method=method, base=base,
-                    lam=lam, policy=policy, engine=engine,
-                )
-                continue
-            dual = spec.right is Right.PUT
-            params_list.append(
-                cls.from_spec(spec.symmetric_dual() if dual else spec, steps)
+        for i in euro_idx + amer_idx:
+            results[i] = _loop_price(
+                specs[i], steps, model, method, lam, record_boundary
             )
-            dualized.append(dual)
-            lattice_idx.append(i)
-        if lattice_idx:
-            tree_results = solve_tree_fft_batch(
-                params_list,
+        return results  # type: ignore[return-value]
+    if engine is None and (euro_idx or amer_idx):
+        engine = AdvanceEngine(policy)
+
+    if euro_idx:
+        euro_specs = [specs[i] for i in euro_idx]
+        euro_results = (
+            _batch_european_tree_fft(euro_specs, steps, model, engine)
+            if tree
+            else _batch_european_bsm_fft(euro_specs, steps, lam, engine)
+        )
+        for i, r in zip(euro_idx, euro_results):
+            results[i] = r
+    if amer_idx:
+        if tree:
+            cls = BinomialParams if model == "binomial" else TrinomialParams
+            folds = [canonicalize_right(specs[i], model) for i in amer_idx]
+            solved = solve_tree_fft_batch(
+                [cls.from_spec(s, steps) for s, _ in folds],
                 base=DEFAULT_BASE if base is None else base,
                 policy=policy,
                 engine=engine,
+                record_boundary=record_boundary,
             )
-            for i, r, dual in zip(lattice_idx, tree_results, dualized):
-                results[i] = _wrap_tree_batch(r, specs[i], steps, model, dual)
-        return results  # type: ignore[return-value]
-
-    # bsm-fd: the FD grid prices puts (from_spec validates per contract)
-    if euro_idx:
-        for i, r in zip(
-            euro_idx,
-            _batch_european_bsm_fft(
-                [specs[i] for i in euro_idx], steps, lam, engine
-            ),
-        ):
-            results[i] = r
-    if amer_idx:
-        bsm_params = [
-            BSMGridParams.from_spec(
-                specs[i].with_style(Style.AMERICAN), steps, lam=lam
+            for i, (_, dualized), r in zip(amer_idx, folds, solved):
+                if dualized:
+                    r.meta["symmetric_dual_of"] = specs[i]
+                    r.meta["note"] = (
+                        "priced as the dual American call C(K, S, Y, R); "
+                        "exact on CRR lattices"
+                    )
+        else:
+            solved = solve_bsm_fft_batch(
+                [
+                    BSMGridParams.from_spec(specs[i], steps, lam=lam)
+                    for i in amer_idx
+                ],
+                base=DEFAULT_BSM_BASE if base is None else base,
+                policy=policy,
+                engine=engine,
+                record_boundary=record_boundary,
             )
-            for i in amer_idx
-        ]
-        bsm_results = solve_bsm_fft_batch(
-            bsm_params,
-            base=DEFAULT_BSM_BASE if base is None else base,
-            policy=policy,
-            engine=engine,
-        )
-        for i, r in zip(amer_idx, bsm_results):
+        for i, r in zip(amer_idx, solved):
             results[i] = PricingResult(
-                r.price, steps, "bsm-fd", "fft", r.workspan,
-                r.stats.as_dict(),
+                r.price, steps, model, "fft", r.workspan, r.stats.as_dict(),
                 r.boundary.points if r.boundary else None, r.meta,
             )
     return results  # type: ignore[return-value]
@@ -674,54 +504,35 @@ def price_many(
     lam: Optional[float] = None,
     policy: AdvancePolicy = DEFAULT_POLICY,
     engine: Optional[AdvanceEngine] = None,
-    workers: Optional[int] = None,
-    backend: str = "process",
-    pricer: Optional[str] = None,
+    backend: str = "lattice",
 ) -> list[PricingResult]:
     """Price a portfolio of contracts, amortising FFT plans across solves.
 
+    The library's batch door (scenario grids, Greek bump ladders,
+    implied-vol ladders and coalesced service buckets all enter here).
     Each spec is priced per its own ``style`` (American or European;
     Bermudan contracts need explicit dates — use :func:`price_bermudan`).
-    All solves share one plan-caching
-    :class:`~repro.core.fftstencil.AdvanceEngine`, and with
-    ``method="fft"`` the whole portfolio routes through
-    :func:`solve_batch`: contracts are grouped by *step schedule* (style),
-    not by identical spec, and each group marches in lockstep through
-    multi-kernel :meth:`~repro.core.fftstencil.AdvanceEngine.advance_batch`
-    transforms — a scenario grid, an implied-vol ladder or a Greek bump
-    grid whose cells all differ in vol/rate batches exactly as well as a
-    strike strip on one underlying.  Bit-identical repeated contracts are
-    solved once and the result fanned out in input order (duplicates carry
-    ``meta["deduplicated_of"]``).
+    On the default ``"lattice"`` backend all solves share one plan-caching
+    :class:`~repro.core.fftstencil.AdvanceEngine`, and with ``method="fft"``
+    contracts are grouped by *step schedule* (style), not by identical
+    spec, and each group marches in lockstep through multi-kernel
+    :meth:`~repro.core.fftstencil.AdvanceEngine.advance_batch` transforms —
+    a scenario grid, an implied-vol ladder or a Greek bump grid whose cells
+    all differ in vol/rate batches exactly as well as a strike strip on one
+    underlying.  Every result equals the contract's lone
+    :func:`price_american` / :func:`price_european` answer.  Bit-identical
+    repeated contracts are solved once and the result fanned out in input
+    order (duplicates carry ``meta["deduplicated_of"]``).
 
-    ``workers`` > 1 delegates the batch fan-out to a
-    :class:`~repro.risk.engine.ScenarioEngine` over the given ``backend``
-    (``"process"`` | ``"thread"`` | ``"serial"``): the portfolio is chunked
-    across a real worker pool, each worker amortising its own plan-caching
-    engine.  Incompatible with a shared ``engine`` (each worker owns one).
-
-    ``pricer`` names a registered :class:`~repro.core.backend.PricerBackend`
-    for the whole portfolio (``None`` keeps the exact ``"lattice"`` path,
-    bit-identical to before the backend registry existed).  Note the
-    distinction: ``backend`` here picks the *worker pool kind*, ``pricer``
-    picks the *numerical method*.
+    ``backend`` names the registered
+    :class:`~repro.core.backend.PricerBackend` for the whole portfolio, as
+    in :func:`price_american` (``"spectral"`` loops the fast pricer over
+    the batch, amortising its plan cache).  To fan a portfolio across a
+    worker pool use :meth:`repro.risk.engine.ScenarioEngine.price_specs`.
 
     Returns results in input order.
     """
-    steps = check_integer("steps", steps, minimum=1)
-    _check_model_method(model, method)
-    # Imported lazily: repro.risk.engine imports this module.
-    from repro.risk.engine import BACKENDS
-
-    if backend not in BACKENDS:
-        raise ValidationError(
-            f"unknown backend {backend!r}; choose one of {BACKENDS}"
-        )
-    if pricer is not None:
-        get_backend(pricer)  # fail fast on unknown names
-    if workers is not None:
-        workers = check_integer("workers", workers, minimum=1)
-
+    pricer = get_backend(backend)
     # Dedupe bit-identical requests: OptionSpec is a frozen dataclass, so
     # equality means every field matches bit-for-bit and duplicates are
     # guaranteed the same solve.  Price each distinct contract once and fan
@@ -738,54 +549,26 @@ def price_many(
             unique.append(s)
             first_input.append(i)
         inverse.append(u)
-    if len(unique) < len(inverse):
-        primaries = price_many(
-            unique, steps, model=model, method=method, base=base, lam=lam,
-            policy=policy, engine=engine, workers=workers, backend=backend,
-            pricer=pricer,
-        )
-        fanned: list[PricingResult] = []
-        seen: set[int] = set()
-        for u in inverse:
-            if u in seen:
-                # scaled(1.0) is a bit-identical copy with independent
-                # stats/boundary/meta containers — mutating one sibling must
-                # never corrupt another.
-                dup = primaries[u].scaled(1.0)
-                dup.meta["deduplicated_of"] = first_input[u]
-                fanned.append(dup)
-            else:
-                seen.add(u)
-                fanned.append(primaries[u])
-        return fanned
-
-    if workers is not None and workers > 1:
-        if engine is not None:
-            raise ValidationError(
-                "workers fan-out gives each worker its own AdvanceEngine; "
-                "a shared engine cannot cross process boundaries"
-            )
-        if not specs:
-            return []
-        from repro.risk.engine import ScenarioEngine
-
-        scenario_engine = ScenarioEngine(
-            workers=workers, backend=backend, model=model, method=method,
-            base=base, lam=lam, policy=policy,
-        )
-        return scenario_engine.price_specs(list(specs), steps, pricer=pricer)
-    if engine is None:
-        engine = AdvanceEngine(policy)
-    for spec in specs:
-        if spec.style is Style.BERMUDAN:
-            raise ValidationError(
-                "price_many handles American and European styles; Bermudan "
-                "contracts need exercise dates — call price_bermudan directly"
-            )
-    return solve_batch(
-        specs, steps, model=model, method=method, base=base, lam=lam,
-        policy=policy, engine=engine, backend=pricer or "lattice",
+    primaries = pricer.price_batch(
+        unique, steps, model=model, method=method, base=base, lam=lam,
+        policy=policy, engine=engine,
     )
+    if len(unique) == len(inverse):
+        return primaries
+    fanned: list[PricingResult] = []
+    seen: set[int] = set()
+    for u in inverse:
+        if u in seen:
+            # scaled(1.0) is a bit-identical copy with independent
+            # stats/boundary/meta containers — mutating one sibling must
+            # never corrupt another.
+            dup = primaries[u].scaled(1.0)
+            dup.meta["deduplicated_of"] = first_input[u]
+            fanned.append(dup)
+        else:
+            seen.add(u)
+            fanned.append(primaries[u])
+    return fanned
 
 
 @dataclass
@@ -824,7 +607,7 @@ def exercise_boundary(
     quant-finance literature (from above for calls, from below for puts).
     """
     steps = check_integer("steps", steps, minimum=1)
-    _check_model_method(model, method)
+    check_model_method(model, method)
     if method not in ("fft", "loop"):
         raise ValidationError("exercise_boundary supports methods 'fft' and 'loop'")
     if model == "bsm-fd" and spec.right is not Right.PUT:
@@ -894,10 +677,10 @@ def exercise_boundary(
 class LatticeBackend:
     """The paper's solvers as a registered :class:`PricerBackend`.
 
-    ``price_spec`` / ``price_batch`` *are* the historical bodies of
-    :func:`price_american` / :func:`solve_batch` — routing through this
-    backend is bit-identical to calling them before the registry existed.
-    The only addition is the ``meta["backend"]`` provenance stamp.
+    ``price_spec`` is the B = 1 call and ``price_batch`` the batched call
+    of the one lattice dispatcher, so a lone contract and the same contract
+    in a batch are priced by the same code.  Each prices the contracts it
+    is given per their ``style`` and stamps ``meta["backend"]``.
     """
 
     name = "lattice"
@@ -919,10 +702,10 @@ class LatticeBackend:
         engine: Optional[AdvanceEngine] = None,
         return_boundary: bool = False,
     ) -> PricingResult:
-        result = _lattice_price_spec(
-            spec, steps, model=model, method=method, base=base, lam=lam,
+        [result] = _lattice_price(
+            [spec], steps, model=model, method=method, base=base, lam=lam,
             policy=DEFAULT_POLICY if policy is None else policy,
-            engine=engine, return_boundary=return_boundary,
+            engine=engine, record_boundary=return_boundary,
         )
         result.meta.setdefault("backend", self.name)
         return result
@@ -939,7 +722,7 @@ class LatticeBackend:
         policy: Optional[AdvancePolicy] = None,
         engine: Optional[AdvanceEngine] = None,
     ) -> list[PricingResult]:
-        results = _lattice_price_batch(
+        results = _lattice_price(
             specs, steps, model=model, method=method, base=base, lam=lam,
             policy=DEFAULT_POLICY if policy is None else policy,
             engine=engine,

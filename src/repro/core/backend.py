@@ -7,12 +7,13 @@ the quote service — can route a request to *any* pricer without knowing
 its internals, and so approximate/exact tiering is expressible at all:
 
 ``"lattice"``
-    The paper's solvers, exactly as they always ran: the O(T log²T)
-    nonlinear-stencil recursions, the Θ(T²) baselines, the lockstep batch
-    solver.  ``tolerance == 0.0`` — this backend *defines* exactness, and
-    its routing is bit-identical to calling
-    :func:`repro.core.api.price_american` / ``solve_batch`` directly
-    (it literally is those code paths).
+    The paper's solvers: the O(T log²T) nonlinear-stencil recursions, the
+    Θ(T²) baselines, the lockstep batch solver.  ``tolerance == 0.0`` —
+    this backend *defines* exactness.  Its ``price_spec`` and
+    ``price_batch`` are the B = 1 and batched calls of the one lattice
+    dispatcher in :mod:`repro.core.api`, which
+    :func:`~repro.core.api.price_american` and
+    :func:`~repro.core.api.price_many` reach through this registry.
 ``"spectral"``
     The Chebyshev-collocation fast pricer (:mod:`repro.core.spectral`):
     near-O(n) per solve, a stated non-zero ``tolerance``, no divider.

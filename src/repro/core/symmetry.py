@@ -23,13 +23,7 @@ the mirrored put divider.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.core.fftstencil import DEFAULT_POLICY, AdvanceEngine, AdvancePolicy
-from repro.core.tree_solver import DEFAULT_BASE, TreeFFTResult, solve_tree_fft
 from repro.options.contract import OptionSpec, Right, Style
-from repro.options.params import BinomialParams, TrinomialParams
-from repro.util.validation import ValidationError
 
 
 def canonicalize_right(
@@ -44,9 +38,9 @@ def canonicalize_right(
       the backward-induction argument in the module docstring never uses
       the exercise ``max``, only the weight identities, so it applies
       row-by-row to either style (the test suite checks both to ~1e-13);
-    * *American* trinomial ``fft`` — :func:`solve_put_via_symmetry` prices
-      that put through the dual lattice anyway, so the fold changes
-      nothing but the cache key (measured ~8e-15 at T=1024).
+    * *American* trinomial ``fft`` — the lattice prices that put through
+      the dual lattice anyway, so the fold changes nothing but the cache
+      key (measured ~8e-15 at T=1024).
 
     Everything else keeps its orientation:
 
@@ -59,8 +53,10 @@ def canonicalize_right(
       with the mirrored dual-call divider;
     * bsm-fd — that model prices puts directly.
 
-    Used by the quote service (:mod:`repro.service.canonical`) to fold put
-    and call traffic onto one canonical key.
+    The one copy of the fold decision: the lattice dispatcher
+    (:mod:`repro.core.api`) prices American ``fft`` tree puts through it,
+    and the quote service (:mod:`repro.service.canonical`) folds put and
+    call traffic onto one canonical key with it.
     """
     if spec.right is not Right.PUT or method != "fft":
         return spec, False
@@ -69,46 +65,3 @@ def canonicalize_right(
     ):
         return spec.symmetric_dual(), True
     return spec, False
-
-
-def solve_put_via_symmetry(
-    spec: OptionSpec,
-    steps: int,
-    *,
-    model: str = "binomial",
-    base: int = DEFAULT_BASE,
-    policy: AdvancePolicy = DEFAULT_POLICY,
-    engine: Optional[AdvanceEngine] = None,
-    record_boundary: bool = False,
-) -> TreeFFTResult:
-    """Price an American put with the fast call solver on the dual contract.
-
-    The returned result is the dual call's solve (same price; its recorded
-    divider is the mirror image ``j' = i - j`` of the put's divider).
-    Requires the dual lattice to be valid: the dual's risk-neutral
-    probability must lie in ``(0, 1)``, which holds for the same parameter
-    ranges as the primal (the drift merely changes sign).
-    """
-    if spec.right is not Right.PUT:
-        raise ValidationError("solve_put_via_symmetry expects a put contract")
-    dual = spec.symmetric_dual()
-    if model == "binomial":
-        params: BinomialParams | TrinomialParams = BinomialParams.from_spec(
-            dual, steps
-        )
-    elif model == "trinomial":
-        params = TrinomialParams.from_spec(dual, steps)
-    else:
-        raise ValidationError(f"unknown tree model {model!r}")
-    result = solve_tree_fft(
-        params,
-        base=base,
-        policy=policy,
-        engine=engine,
-        record_boundary=record_boundary,
-    )
-    result.meta["symmetric_dual_of"] = spec
-    result.meta["note"] = (
-        "priced as the dual American call C(K, S, Y, R); exact on CRR lattices"
-    )
-    return result

@@ -32,7 +32,9 @@ the divider moves by at most one), solves it with
     4. Heights <= ``base`` (paper's empirical optimum: 8) descend naively.
 
 Puts are *not* handled here: their divider is mirrored.  Use
-:mod:`repro.core.symmetry` (exact put–call symmetry) or the vanilla solvers.
+:func:`repro.core.api.price_american`, which solves a put as its dual call
+(exact put–call symmetry, :mod:`repro.core.symmetry`), or the vanilla
+solvers.
 
 Every solve is a generator driven by
 :func:`~repro.core.lockstep.drive_lockstep`: it yields its linear advances,
@@ -288,8 +290,8 @@ class _TreeSolver:
 def _validate_tree_solve(params: TreeParams) -> None:
     if params.spec.right is not Right.CALL:
         raise ValidationError(
-            "solve_tree_fft prices calls; price puts through "
-            "repro.core.symmetry (exact put-call symmetry) or a vanilla solver"
+            "solve_tree_fft prices calls; price puts through price_american "
+            "(exact put-call symmetry) or a vanilla solver"
         )
     if params.spec.style is not Style.AMERICAN:
         raise ValidationError(

@@ -234,7 +234,7 @@ def _price_chunk(
                 stop += 1
             run = price_many(
                 specs[start:stop], steps, engine=engine,
-                pricer=pricers[start], **kwargs,
+                backend=pricers[start], **kwargs,
             )
             _rebase_dedup_indices(run, start)
             results.extend(run)
@@ -475,18 +475,16 @@ class ScenarioEngine:
         deadline: Optional[Deadline] = None,
         retry: Optional[RetryPolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
-        pricer: Optional[str] = None,
     ) -> list[PricingResult]:
         """Price a flat contract list; results in input order.
 
-        Batch-delegation entry point for callers that already hold a plain
-        spec sequence — :func:`repro.core.api.price_many` (``workers`` > 1)
-        and the :class:`~repro.service.service.QuoteService` coalescer —
-        equivalent to pricing ``ScenarioGrid.explicit(specs)`` and keeping
-        only the per-cell results.  An empty list prices to an empty list,
-        matching every other batch entry point.  ``pricer`` names one
-        :class:`~repro.core.backend.PricerBackend` for every contract
-        (``None`` keeps the exact lattice path).
+        The parallel twin of :func:`repro.core.api.price_many`, for callers
+        that already hold a plain spec sequence (the
+        :class:`~repro.service.service.QuoteService` coalescer among
+        them): equivalent to pricing ``ScenarioGrid.explicit(specs)`` and
+        keeping only the per-cell results, with the grid's chunks fanned
+        across this engine's worker pool.  An empty list prices to an
+        empty list, matching every other batch entry point.
         """
         if not specs:
             return []
@@ -494,7 +492,6 @@ class ScenarioEngine:
             ScenarioGrid.explicit(list(specs)), steps,
             model=model, method=method, base=base, lam=lam,
             deadline=deadline, retry=retry, fault_plan=fault_plan,
-            pricer=pricer,
         ).results
 
     def map_chunks(self, items: Sequence, task) -> list:
@@ -548,7 +545,6 @@ class ScenarioEngine:
         deadline: Optional[Deadline] = None,
         retry: Optional[RetryPolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
-        pricer: Optional[str] = None,
     ) -> ScenarioResult:
         """Price every grid cell; results come back in flat grid order.
 
@@ -563,11 +559,10 @@ class ScenarioEngine:
         exhausted/non-transient failures become per-cell markers.  Any of
         the three adds ``meta["resilience"]`` with the recovery counters.
 
-        ``pricer`` names the :class:`~repro.core.backend.PricerBackend` for
-        cells that do not carry their own ``ScenarioCell.backend``; a grid
-        may mix exact and approximate cells freely (each result records its
-        server as ``meta["backend"]``).  With neither set every cell
-        prices on the exact lattice path.
+        A cell's ``ScenarioCell.backend`` names the
+        :class:`~repro.core.backend.PricerBackend` that prices it (``None``:
+        the exact lattice); a grid may mix exact and approximate cells
+        freely (each result records its server as ``meta["backend"]``).
         """
         if not isinstance(grid, ScenarioGrid):
             grid = ScenarioGrid.explicit(list(grid))
@@ -579,18 +574,16 @@ class ScenarioEngine:
             "lam": self.lam if lam is None else lam,
             "policy": self.policy,
         }
-        # Per-cell pricer backends: cell override, else the call's default.
-        # A uniform assignment collapses into ``kwargs`` (whole-chunk dedup
-        # and one price_many call per chunk); only a genuinely mixed grid
-        # pays the contiguous-run split in _price_chunk.
-        cell_pricers = [c.backend or pricer for c in grid.cells]
+        # Per-cell pricer backends (``None``: the lattice).  A uniform
+        # assignment collapses into ``kwargs`` (whole-chunk dedup and one
+        # price_many call per chunk); only a genuinely mixed grid pays the
+        # contiguous-run split in _price_chunk.
+        cell_pricers = [c.backend or "lattice" for c in grid.cells]
         pricers: Optional[list] = None
-        if any(p is not None for p in cell_pricers):
-            uniform = cell_pricers[0]
-            if all(p == uniform for p in cell_pricers):
-                kwargs["pricer"] = uniform
-            else:
-                pricers = cell_pricers
+        if len(set(cell_pricers)) > 1:
+            pricers = cell_pricers
+        elif cell_pricers:
+            kwargs["backend"] = cell_pricers[0]
         if retry is None:
             retry = self.retry
         if fault_plan is None:

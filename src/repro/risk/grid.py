@@ -44,7 +44,7 @@ class ScenarioCell:
     ``backend`` optionally names the :class:`~repro.core.backend.PricerBackend`
     this cell should be solved on (``"lattice"``, ``"spectral"``, …), so one
     grid can mix exact and fast-approximate cells — e.g. exact center,
-    spectral stress wings.  ``None`` defers to the engine call's default.
+    spectral stress wings.  ``None`` prices on the exact ``"lattice"``.
     """
 
     index: int
@@ -92,7 +92,7 @@ class ScenarioGrid:
     @property
     def backends(self) -> list[Optional[str]]:
         """Per-cell pricer-backend names in flat grid order (``None`` =
-        defer to the engine call's default)."""
+        the exact ``"lattice"``)."""
         return [c.backend for c in self.cells]
 
     def with_backends(
@@ -108,8 +108,8 @@ class ScenarioGrid:
         ``backends`` may be one name for every cell, a per-cell sequence in
         flat grid order, or a callable ``cell -> name`` (e.g. route far
         out-of-the-money stress wings to ``"spectral"`` while the exact
-        ``"lattice"`` prices the center).  ``None`` entries defer to the
-        engine call's default.
+        ``"lattice"`` prices the center).  ``None`` entries price on the
+        lattice.
         """
         if callable(backends):
             assigned = [backends(c) for c in self.cells]

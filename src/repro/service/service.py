@@ -19,10 +19,10 @@ The serving pipeline (docs/DESIGN.md §5) is
   (``workers > 1``) fanning the batch across a
   :class:`~repro.risk.engine.ScenarioEngine` worker pool.  Since the
   lockstep batch solver landed, a coalesced bucket needs no kernel
-  overlap to batch: every bucket marches through
-  :func:`repro.core.api.solve_batch`'s multi-kernel ``advance_batch``
-  transforms, cells with *different* vols/rates included (European jumps
-  and American trapezoid recursions alike).
+  overlap to batch: every bucket marches through the lattice dispatcher's
+  multi-kernel ``advance_batch`` transforms, cells with *different*
+  vols/rates included (European jumps and American trapezoid recursions
+  alike).
 
 Identical in-flight requests are merged: submitting a key that is already
 queued attaches the new ticket to the existing pending solve, and a cold

@@ -36,8 +36,7 @@ class TestNoEarlyExerciseShortcut:
             raise AssertionError("lattice solver called for a closed-form case")
 
         for name in (
-            "solve_tree_fft", "solve_put_via_symmetry", "price_binomial",
-            "price_trinomial",
+            "solve_tree_fft_batch", "price_binomial", "price_trinomial",
         ):
             monkeypatch.setattr(api, name, boom)
 

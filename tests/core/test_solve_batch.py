@@ -1,4 +1,4 @@
-"""Lockstep ``solve_batch`` vs per-option pricing: bit-level agreement.
+"""Lockstep ``price_many`` vs per-option pricing: bit-level agreement.
 
 The batch solver's contract is strict: because a batched real FFT
 transforms each row exactly as the standalone 1-D transform does, every
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.api import price_american, price_european, price_many, solve_batch
+from repro.core.api import price_american, price_european, price_many
 from repro.core.bermudan import (
     price_tree_bermudan_fft,
     price_tree_bermudan_fft_batch,
@@ -74,7 +74,7 @@ class TestTreeModels:
     @given(specs=st.lists(spec_strategy, min_size=1, max_size=5))
     def test_property_mixed_batches_match_per_option(self, specs):
         """Mixed rights/styles/vol/rate/expiry batches == per-option solves."""
-        results = solve_batch(specs, 48)
+        results = price_many(specs, 48)
         for spec, r in zip(specs, results):
             if spec.style is Style.EUROPEAN:
                 _agree(r, price_european(spec, 48))
@@ -89,7 +89,7 @@ class TestTreeModels:
             for v in (0.15, 0.2, 0.28, 0.4)
         ]
         engine = AdvanceEngine()
-        results = solve_batch(specs, 128, model=model, engine=engine)
+        results = price_many(specs, 128, model=model, engine=engine)
         info = engine.cache_info()
         assert info["batched_inputs"] > info["advances"]  # rounds ran wide
         for spec, r in zip(specs, results):
@@ -101,23 +101,23 @@ class TestTreeModels:
                 )
 
     def test_empty_and_single(self):
-        assert solve_batch([], 32) == []
+        assert price_many([], 32) == []
         engine = AdvanceEngine()
-        [r] = solve_batch([SPEC], 64, engine=engine)
+        [r] = price_many([SPEC], 64, engine=engine)
         _agree(r, price_american(SPEC, 64))
 
     def test_closed_form_calls_skip_the_lattice(self):
         """Zero-dividend American calls keep the analytic shortcut."""
         cf = dataclasses.replace(SPEC, dividend_yield=0.0)
         engine = AdvanceEngine()
-        results = solve_batch([cf, SPEC], 64, engine=engine)
+        results = price_many([cf, SPEC], 64, engine=engine)
         assert results[0].meta.get("closed_form") == "black-scholes"
         assert "closed_form" not in results[1].meta
         _agree(results[0], price_american(cf, 64))
 
     def test_non_fft_method_falls_back_per_option(self):
         specs = [SPEC, dataclasses.replace(SPEC, strike=110.0)]
-        results = solve_batch(specs, 64, method="loop")
+        results = price_many(specs, 64, method="loop")
         for spec, r in zip(specs, results):
             _agree(r, price_american(spec, 64, method="loop"))
             assert r.method == "loop"
@@ -137,7 +137,7 @@ class TestBSMModel:
     def test_american_fd_batch_matches(self):
         specs = self._puts()
         engine = AdvanceEngine()
-        results = solve_batch(specs, 200, model="bsm-fd", engine=engine)
+        results = price_many(specs, 200, model="bsm-fd", engine=engine)
         info = engine.cache_info()
         assert info["batched_inputs"] > info["advances"]  # rounds ran wide
         for spec, r in zip(specs, results):
@@ -145,7 +145,7 @@ class TestBSMModel:
 
     def test_european_fd_batch_matches(self):
         specs = [s.with_style(Style.EUROPEAN) for s in self._puts()]
-        results = solve_batch(specs, 200, model="bsm-fd")
+        results = price_many(specs, 200, model="bsm-fd")
         for spec, r in zip(specs, results):
             _agree(r, price_european(spec, 200, model="bsm-fd"))
             assert r.meta["batched"] is True
@@ -214,7 +214,7 @@ class TestGridRouting:
 
 class TestOneContractPathIdentity:
     """A lone solve runs the same code whichever front door it enters by:
-    ``price_american``, a one-contract ``solve_batch`` and a one-contract
+    ``price_american`` (or ``price_european``) and a one-contract
     ``price_many`` agree on the price and on every ``stats`` counter."""
 
     @pytest.mark.parametrize(
@@ -231,15 +231,32 @@ class TestOneContractPathIdentity:
         if model == "bsm-fd":  # the FD put formulation takes no dividend
             spec = dataclasses.replace(spec, dividend_yield=0.0)
         single = price_american(spec, 96, model=model)
-        batched = solve_batch([spec], 96, model=model)[0]
+        batched = price_many([spec], 96, model=model)[0]
         many = price_many([spec], 96, model=model)[0]
         assert single.price == batched.price == many.price
         assert single.stats == batched.stats == many.stats
 
+    @pytest.mark.parametrize(
+        "model, right",
+        [
+            ("binomial", Right.CALL),
+            ("trinomial", Right.CALL),
+            ("bsm-fd", Right.PUT),
+        ],
+    )
+    def test_lone_european_is_the_one_contract_batch(self, model, right):
+        spec = dataclasses.replace(SPEC, right=right, style=Style.EUROPEAN)
+        if model == "bsm-fd":  # the FD put formulation takes no dividend
+            spec = dataclasses.replace(spec, dividend_yield=0.0)
+        lone = price_european(spec, 96, model=model)
+        many = price_many([spec], 96, model=model)[0]
+        assert lone.price == many.price
+        assert lone.stats == many.stats
+
 
 class TestBatchedStatsEqualLoneStats:
     """A contract's ``stats`` do not depend on the batch it rides in: every
-    counter of a B > 1 ``solve_batch`` result equals its lone
+    counter of a B > 1 ``price_many`` result equals its lone
     ``price_american`` twin's.  The contracts are distinct — a duplicate
     shares kernel spectra with its twin, so its cache counters differ."""
 
@@ -262,7 +279,7 @@ class TestBatchedStatsEqualLoneStats:
         ]
         if model == "bsm-fd":  # the FD put formulation takes no dividend
             specs = [dataclasses.replace(s, dividend_yield=0.0) for s in specs]
-        batch = solve_batch(specs, 96, model=model)
+        batch = price_many(specs, 96, model=model)
         for spec, b in zip(specs, batch):
             lone = price_american(spec, 96, model=model)
             assert b.meta["batch_size"] == 4

@@ -29,7 +29,7 @@ from repro.core.spectral import (
     tanhsinh_nodes,
 )
 from repro.options.analytic import black_scholes
-from repro.options.contract import OptionSpec, Right, Style
+from repro.options.contract import OptionSpec, Right, Style, paper_benchmark_spec
 from repro.util.validation import ValidationError
 
 BASE = OptionSpec(
@@ -183,6 +183,17 @@ class TestBackendContract:
         lattice = price_american(BASE, 64)
         assert lattice.meta["backend"] == "lattice"
         assert rel_err(result.price, lattice.price, BASE.strike) < 0.01
+
+    @pytest.mark.parametrize("backend", ["lattice", "spectral"])
+    def test_price_american_prices_an_american_on_every_backend(
+        self, backend
+    ):
+        spec = paper_benchmark_spec()
+        american = price_american(spec, 1024, backend=backend)
+        european_styled = price_american(
+            spec.with_style(Style.EUROPEAN), 1024, backend=backend
+        )
+        assert european_styled.price == american.price
 
 
 class TestPlanCache:

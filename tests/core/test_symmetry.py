@@ -5,11 +5,10 @@ import dataclasses
 import pytest
 from hypothesis import given
 
-from repro.core.symmetry import solve_put_via_symmetry
+from repro.core.api import price_american
 from repro.lattice.binomial import price_binomial
 from repro.lattice.trinomial import price_trinomial
 from repro.options.contract import OptionSpec, Right, paper_benchmark_spec
-from repro.util.validation import ValidationError
 from tests.conftest import put_specs
 
 
@@ -31,27 +30,27 @@ class TestBinomialSymmetry:
     def test_matches_vanilla_put(self, T):
         """The symmetry is exact on CRR lattices — machine-precision match."""
         spec = make_put()
-        sym = solve_put_via_symmetry(spec, T).price
+        sym = price_american(spec, T).price
         direct = price_binomial(spec, T).price
         assert sym == pytest.approx(direct, abs=1e-10 * spec.strike)
 
     def test_paper_spec_put(self):
         spec = dataclasses.replace(paper_benchmark_spec(), right=Right.PUT)
-        sym = solve_put_via_symmetry(spec, 512).price
+        sym = price_american(spec, 512).price
         direct = price_binomial(spec, 512).price
         assert sym == pytest.approx(direct, abs=1e-10 * spec.strike)
 
     def test_zero_rate_put(self):
         """R=0 put maps to a zero-dividend dual call (all-red dual)."""
         spec = make_put(rate=0.0, dividend_yield=0.03)
-        sym = solve_put_via_symmetry(spec, 128).price
+        sym = price_american(spec, 128).price
         assert sym == pytest.approx(
             price_binomial(spec, 128).price, abs=1e-10 * spec.strike
         )
 
     @given(spec=put_specs())
     def test_property_exactness(self, spec):
-        sym = solve_put_via_symmetry(spec, 64).price
+        sym = price_american(spec, 64).price
         direct = price_binomial(spec, 64).price
         assert sym == pytest.approx(direct, abs=1e-9 * spec.strike)
 
@@ -60,21 +59,13 @@ class TestTrinomialSymmetry:
     @pytest.mark.parametrize("T", [1, 2, 5, 16, 64])
     def test_matches_vanilla_put(self, T):
         spec = make_put()
-        sym = solve_put_via_symmetry(spec, T, model="trinomial").price
+        sym = price_american(spec, T, model="trinomial").price
         direct = price_trinomial(spec, T).price
         assert sym == pytest.approx(direct, abs=1e-10 * spec.strike)
 
 
 class TestErrors:
-    def test_rejects_call(self):
-        with pytest.raises(ValidationError):
-            solve_put_via_symmetry(make_put().with_right(Right.CALL), 16)
-
-    def test_rejects_unknown_model(self):
-        with pytest.raises(ValidationError):
-            solve_put_via_symmetry(make_put(), 16, model="quadrinomial")
-
     def test_meta_records_dual(self):
         spec = make_put()
-        r = solve_put_via_symmetry(spec, 16)
+        r = price_american(spec, 16)
         assert r.meta["symmetric_dual_of"] == spec

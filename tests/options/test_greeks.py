@@ -116,17 +116,17 @@ class TestThetaBumpClamp:
 
 class TestRepriceCount:
     def test_ladder_is_nine_reprices_plus_base(self, monkeypatch):
-        """The docs promise 9 reprices + 1 base: count actual solver calls."""
+        """The docs promise 9 reprices + 1 base: count the contracts that
+        reach the lattice."""
         calls = []
-        real = repro.core.api.price_american
+        backend = repro.core.api.LatticeBackend
+        real = backend.price_batch
 
-        def counting(spec, steps, **kw):
-            calls.append(spec)
-            return real(spec, steps, **kw)
+        def counting(self, specs, steps, **kw):
+            calls.extend(specs)
+            return real(self, specs, steps, **kw)
 
-        # greeks run through price_many, which resolves price_american at
-        # call time from its module globals — patch it there.
-        monkeypatch.setattr(repro.core.api, "price_american", counting)
+        monkeypatch.setattr(backend, "price_batch", counting)
         american_greeks(make(), 64)
         assert len(calls) == LADDER_SIZE == 10
         # exactly one unbumped base solve in the ladder

@@ -177,31 +177,37 @@ class TestValidationAndDelegation:
         with pytest.raises(ValidationError):
             ScenarioEngine(workers=0)
 
-    def test_price_many_workers_delegates(self):
-        strip = [dataclasses.replace(SPEC, strike=k) for k in (110.0, 120.0, 130.0)]
-        serial = price_many(strip, STEPS)
-        fanned = price_many(strip, STEPS, workers=2, backend="thread")
-        for a, b in zip(serial, fanned):
-            assert b.price == pytest.approx(a.price, rel=1e-12)
-
-    def test_price_many_workers_rejects_shared_engine(self):
-        from repro.core.fftstencil import AdvanceEngine
-
-        with pytest.raises(ValidationError):
-            price_many([SPEC], STEPS, workers=2, engine=AdvanceEngine())
-
-    def test_price_many_empty_with_workers(self):
-        assert price_many([], STEPS, workers=4) == []
-
-    def test_price_many_invalid_workers_rejected(self):
-        for bad in (0, -2):
-            with pytest.raises(ValidationError):
-                price_many([SPEC], STEPS, workers=bad)
-
     def test_price_many_bad_backend_fails_fast(self):
         # even on the serial default path — the typo must not sit latent
         with pytest.raises(ValidationError):
             price_many([SPEC], STEPS, backend="proces")
+
+
+class TestMixedBackendGrid:
+    """Cells with a ``backend`` price on it; ``None`` cells on the lattice.
+    ``chunk_size=2`` puts a spectral wing and a lattice core cell in one
+    chunk, so backend runs split inside chunks."""
+
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_cells_price_on_their_backend(self, backend):
+        put = dataclasses.replace(SPEC, right=Right.PUT)
+        grid = ScenarioGrid.cartesian(
+            put, spot_bumps=(-0.3, -0.15, 0.0, 0.15, 0.3)
+        ).with_backends(
+            lambda cell: "spectral"
+            if abs(cell.spec.spot / put.strike - 1.0) > 0.2
+            else None
+        )
+        r = ScenarioEngine(
+            backend=backend, workers=2, chunk_size=2
+        ).price_grid(grid, STEPS)
+        for cell, res in zip(grid, r.results):
+            pricer = cell.backend or "lattice"
+            assert res.meta["backend"] == pricer
+            assert res.price == price_american(
+                cell.spec, STEPS, backend=pricer
+            ).price
+        assert [c.backend for c in grid].count(None) == 3
 
 
 class TestChunkDedupIndices:
