@@ -3,20 +3,25 @@
 The serving pipeline (docs/DESIGN.md §5) is
 
     request --canonicalize--> key --cache--> hit?  serve scaled copy
-                                   \\-- miss --> coalesce --> solve --> store
+                                   \\-- miss --> gate --> adopt --> solve --> degrade
 
 * :func:`~repro.service.canonical.canonicalize` folds each request onto a
   dimensionless key, so a strike strip, both rights (binomial), and
   rescaled clones of one contract all share a single solve.
 * :class:`~repro.service.cache.QuoteCache` (LRU+TTL) serves warm keys in
   O(1) — a dict lookup plus one multiply — versus a full O(T log²T) solve.
-* Cold keys are **coalesced**: :meth:`QuoteService.quote_many` dedupes keys
-  within the call, and :meth:`QuoteService.submit` parks requests in a
-  bounded queue whose :meth:`QuoteService.flush` groups compatible pending
-  requests (same model/method/steps/base/lam bucket) into one
-  :func:`repro.core.api.price_many` batch — sharing the service's
-  plan-caching :class:`~repro.core.fftstencil.AdvanceEngine` and
-  (``workers > 1``) fanning the batch across a
+* Cold keys go through **one pipeline**: a pre-solve gate (bucket
+  breaker open or budget spent), in-flight adoption, one bucketed
+  resolve, and one degradation ladder (stale, opt-in spectral, refusal).
+  :meth:`QuoteService.quote` is its B = 1 call behind a warm-hit
+  shortcut and raises a refusal; :meth:`QuoteService.quote_many` is its
+  batch call and returns timeout/failure markers instead.
+* :meth:`QuoteService.submit` parks requests in a bounded queue whose
+  :meth:`QuoteService.flush` feeds the same resolver: compatible pending
+  requests (same model/method/steps/base/lam bucket) share one
+  :func:`repro.core.api.price_many` batch — on the service's
+  plan-caching :class:`~repro.core.fftstencil.AdvanceEngine`, or
+  (``workers > 1``) fanned across a
   :class:`~repro.risk.engine.ScenarioEngine` worker pool.  Since the
   lockstep batch solver landed, a coalesced bucket needs no kernel
   overlap to batch: every bucket marches through the lattice dispatcher's
@@ -24,12 +29,11 @@ The serving pipeline (docs/DESIGN.md §5) is
   vols/rates included (European jumps and American trapezoid recursions
   alike).
 
-Identical in-flight requests are merged: submitting a key that is already
-queued attaches the new ticket to the existing pending solve, and a cold
-``quote()`` registers its own solve in-flight so concurrent identical
-quotes and submits ride it too.  The queue is
-bounded (``max_pending``); when it is full a blocking submit pays the drain
-itself (backpressure) and a non-blocking one raises
+Identical in-flight requests are merged: a cold key claims its queued
+submit, rides a solve of it already running elsewhere, or registers its
+own pending so concurrent identical quotes and submits ride it too.  The
+queue is bounded (``max_pending``); when it is full a blocking submit pays
+the drain itself (backpressure) and a non-blocking one raises
 :class:`ServiceOverloadedError`.
 
 Threading: every public method is safe to call from multiple threads.
@@ -45,7 +49,6 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -121,6 +124,9 @@ class _Pending:
     #: tightest budget any merged caller carried; the bucket solve honors
     #: the tightest across its members (effective_deadline)
     deadline: Optional[Deadline] = None
+    #: record the exercise divider (``quote(return_boundary=True)``); such
+    #: a pending solves in a bucket of its own
+    boundary: bool = False
 
 
 class QuoteTicket:
@@ -179,6 +185,14 @@ def _tagged(
     return out
 
 
+def _spent(deadline: Deadline) -> DeadlineExceeded:
+    """The refusal for a budget already spent when its solve would start."""
+    return DeadlineExceeded(
+        f"deadline of {deadline.budget:g}s spent before the solve could "
+        "start"
+    )
+
+
 class QuoteService:
     """Caching, coalescing pricing service (see module docstring).
 
@@ -203,9 +217,6 @@ class QuoteService:
         serially on one shared plan-caching engine.
     max_pending:
         Bound on distinct queued (not yet flushed) solves.
-    coalesce:
-        ``False`` disables batching — each flush/quote_many miss is solved
-        individually (still on the shared engine).  For A/B measurement.
     workers_min_batch:
         Smallest bucket worth a worker-pool fan-out.  A
         :class:`ScenarioEngine` builds its pool per call, so small batches
@@ -234,13 +245,14 @@ class QuoteService:
         pressure, with a refresh enqueued in the background.  Ignored when
         ``cache`` is injected (configure the injected cache directly).
     spectral_fallback:
-        Opt-in last rung of the degradation ladder.  When a cold quote
-        finds its bucket breaker open — or its deadline already spent —
-        and no stale entry is servable, serve an approximate spectral
-        price instead of raising: explicitly marked
-        (``meta["degraded_to"] == "spectral"``), journalled, refresh
-        enqueued, and **never** written to the exact cache slot.  Default
-        ``False`` keeps the raise-on-exhaustion contract unchanged.
+        Opt-in last rung of the degradation ladder.  When a cold key's
+        solve is refused — its bucket breaker open, or its deadline spent
+        before or during the solve — and no stale entry is servable,
+        serve an approximate spectral price instead of raising
+        (:meth:`quote`) or returning a marker (:meth:`quote_many`):
+        explicitly marked (``meta["degraded_to"] == "spectral"``),
+        journalled, refresh enqueued, and **never** written to the exact
+        cache slot.  Default ``False`` keeps the refusal.
     telemetry:
         Optional :class:`repro.obs.Telemetry`.  When enabled, the service
         records quote latency histograms per serve outcome
@@ -276,7 +288,6 @@ class QuoteService:
         workers: Optional[int] = None,
         backend: str = "process",
         max_pending: int = 1024,
-        coalesce: bool = True,
         workers_min_batch: int = 8,
         breaker: Optional[BreakerPolicy] = None,
         retry: Optional[RetryPolicy] = None,
@@ -315,7 +326,6 @@ class QuoteService:
         )
         self.backend = backend
         self.max_pending = check_integer("max_pending", max_pending, minimum=1)
-        self.coalesce = coalesce
         self.workers_min_batch = check_integer(
             "workers_min_batch", workers_min_batch, minimum=2
         )
@@ -456,25 +466,11 @@ class QuoteService:
             advance_policy=self.policy,
         )
 
-    def _solve_one_boundary(self, req: CanonicalRequest) -> PricingResult:
-        """Divider-recording solve for ``quote(return_boundary=True)``.
-
-        Only American-style requests reach here — ``wants_boundary``
-        excludes European contracts, and every boundary-free path is served
-        through the pending machinery — so this is always a
-        :func:`price_american` call.
-        """
-        with self._solve_mutex:
-            return price_american(
-                req.spec, req.steps, model=req.model, method=req.method,
-                base=req.base, lam=req.lam, policy=self.policy,
-                engine=self._engine, return_boundary=True,
-            )
-
     def _solve_requests(
         self,
         reqs: Sequence[CanonicalRequest],
         deadline: Optional[Deadline] = None,
+        boundary: bool = False,
     ) -> list[PricingResult]:
         """Solve a bucket of same-configuration canonical requests.
 
@@ -483,22 +479,25 @@ class QuoteService:
         expiry), and the serial shared engine observes it cooperatively
         through its ``checkpoint`` hook, raising
         :class:`~repro.resilience.deadline.DeadlineExceeded` mid-solve.
+        ``boundary`` records each (American) request's exercise divider,
+        which only the shared engine's :func:`price_american` records.
         """
         tel = self.telemetry
         if tel is not None:
             with tel.span("bucket_solve", size=len(reqs), steps=reqs[0].steps):
-                return self._solve_requests_inner(reqs, deadline)
-        return self._solve_requests_inner(reqs, deadline)
+                return self._solve_requests_inner(reqs, deadline, boundary)
+        return self._solve_requests_inner(reqs, deadline, boundary)
 
     def _solve_requests_inner(
         self,
         reqs: Sequence[CanonicalRequest],
-        deadline: Optional[Deadline] = None,
+        deadline: Optional[Deadline],
+        boundary: bool,
     ) -> list[PricingResult]:
         r0 = reqs[0]
         specs = [r.spec for r in reqs]
         resilient_solves = self.retry is not None or self.fault_plan is not None
-        if self._scenario is not None and (
+        if self._scenario is not None and not boundary and (
             len(specs) >= self.workers_min_batch or resilient_solves
         ):
             # worker pools build their own per-worker engines (no mutex);
@@ -511,16 +510,24 @@ class QuoteService:
                 base=r0.base, lam=r0.lam, deadline=deadline,
             )
         else:
+            config = dict(
+                model=r0.model, method=r0.method, base=r0.base, lam=r0.lam,
+                policy=self.policy, engine=self._engine,
+            )
             with self._solve_mutex:
                 if deadline is not None:
                     deadline.check("bucket solve")
                     self._engine.checkpoint = deadline.checkpoint
                 try:
-                    results = price_many(
-                        specs, r0.steps, model=r0.model, method=r0.method,
-                        base=r0.base, lam=r0.lam, policy=self.policy,
-                        engine=self._engine,
-                    )
+                    if boundary:
+                        results = [
+                            price_american(
+                                spec, r0.steps, return_boundary=True, **config
+                            )
+                            for spec in specs
+                        ]
+                    else:
+                        results = price_many(specs, r0.steps, **config)
                 finally:
                     if deadline is not None:
                         self._engine.checkpoint = None
@@ -580,42 +587,95 @@ class QuoteService:
 
         return record
 
-    def _stale_canonical(self, req: CanonicalRequest) -> Optional[PricingResult]:
-        """Degradation fetch: the key's stale-but-graced canonical result
-        (None if the cache cannot vouch for one), with a refresh enqueued
-        so the next flush re-solves it."""
+    def _serve_stale(
+        self, req: CanonicalRequest, reason: str
+    ) -> Optional[tuple]:
+        """First rung of the degradation ladder: a marked copy of the
+        key's stale-but-graced canonical result, tagged ``"stale"``, with a
+        refresh enqueued so the next flush re-solves it (None if the cache
+        cannot vouch for one)."""
         canonical = self.cache.get_stale(req.key)
-        if canonical is not None:
-            self._enqueue_refresh(req)
-            with self._lock:
-                self._stale_quotes += 1
-        return canonical
+        if canonical is None:
+            return None
+        self._enqueue_refresh(req)
+        with self._lock:
+            self._stale_quotes += 1
+        if self.telemetry is not None:
+            self.telemetry.emit("stale_serve", reason=reason)
+        out = canonical.scaled(1.0)
+        out.meta[STALE_KEY] = True
+        out.meta["stale_reason"] = reason
+        return out, "stale"
 
-    def _enqueue_refresh(self, req: CanonicalRequest) -> bool:
-        """Queue a background re-solve for a stale-served key.
+    def _enqueue_refresh(
+        self, req: CanonicalRequest, upgrade: bool = False
+    ) -> None:
+        """Queue a background lattice re-solve of ``req``: the refresh
+        behind a stale or spectral-degraded serve, or (``upgrade``) the
+        exact-slot upgrade behind a fast-tier serve.
 
-        The refresh rides the ordinary pending queue (drained by the next
+        It rides the ordinary pending queue (drained by the next
         ``flush``/``result``/backpressure drain) rather than a thread of
         its own — deterministic, testable, and automatically coalesced
         with any real traffic on the same bucket.  Skipped when the key is
-        already in flight or the queue is full (the stale serve stands on
-        its own either way).
+        already in flight or the queue is full (the serve that asked for
+        it stands on its own either way).
         """
         with self._lock:
             if req.key in self._inflight or len(self._queue) >= self.max_pending:
-                return False
+                return
             pending = _Pending(req)
             self._inflight[req.key] = pending
             self._queue.append(pending)
-            self._refreshes += 1
-            return True
+            if upgrade:
+                self._tier_upgrades += 1
+            else:
+                self._refreshes += 1
+        if upgrade and self.telemetry is not None:
+            self.telemetry.emit(
+                "tier_upgrade",
+                bucket="/".join(map(str, self._bucket_of(req))),
+            )
 
-    def _mark_stale(self, out: PricingResult, reason: str) -> PricingResult:
-        out.meta[STALE_KEY] = True
-        out.meta["stale_reason"] = reason
-        if self.telemetry is not None:
-            self.telemetry.emit("stale_serve", reason=reason)
-        return out
+    def _gate(
+        self, req: CanonicalRequest, deadline: Optional[Deadline]
+    ) -> Optional[BaseException]:
+        """The pre-solve gate: a cold key's refusal — its bucket breaker
+        open, or its budget spent — or None to proceed.
+
+        Checks ``state`` — not ``allow()`` — so a half-open probe slot is
+        only consumed by the actual solve attempt in
+        :meth:`_resolve_group`, never burned twice per quote.
+        """
+        breaker = self._breaker_for(req)
+        if breaker is not None and breaker.state == OPEN:
+            return breaker.reject(self._bucket_of(req))
+        if deadline is not None and deadline.expired:
+            return _spent(deadline)
+        return None
+
+    def _degrade(self, req: CanonicalRequest, refusal):
+        """The one degradation ladder for a refused cold key: a stale
+        serve, then the opt-in spectral serve, then the refusal itself.
+
+        ``refusal`` is a :class:`DeadlineExceeded` or
+        :class:`CircuitOpenError` from the gate or the solve, or a timeout
+        marker from a resilient solve tier (handed back tagged
+        ``"timeout"``).
+        """
+        if isinstance(refusal, DeadlineExceeded):
+            with self._lock:
+                self._deadline_misses += 1
+        reason = (
+            "breaker_open" if isinstance(refusal, CircuitOpenError)
+            else "deadline"
+        )
+        return (
+            self._serve_stale(req, reason)
+            or self._degrade_spectral(req, reason)
+            or (refusal if isinstance(refusal, BaseException)
+                else (refusal, "timeout"))
+        )
 
     # ------------------------------------------------------------------ #
     # Tiered serving (spectral fast tier)
@@ -654,30 +714,6 @@ class QuoteService:
             base=req.base, lam=req.lam,
         )
 
-    def _enqueue_upgrade(self, req: CanonicalRequest) -> bool:
-        """Queue the lattice-exact upgrade behind a fast-tier serve.
-
-        Rides the ordinary pending queue exactly like a stale refresh —
-        drained by the next ``flush``/``result``/backpressure drain,
-        coalesced with real traffic on the same bucket — so fast traffic
-        warms the *exact* slot without a thread of its own.  Skipped when
-        the key is already in flight or the queue is full (the fast serve
-        stands on its own either way).
-        """
-        with self._lock:
-            if req.key in self._inflight or len(self._queue) >= self.max_pending:
-                return False
-            pending = _Pending(req)
-            self._inflight[req.key] = pending
-            self._queue.append(pending)
-            self._tier_upgrades += 1
-        if self.telemetry is not None:
-            self.telemetry.emit(
-                "tier_upgrade",
-                bucket="/".join(map(str, self._bucket_of(req))),
-            )
-        return True
-
     def _serve_fast(self, req: CanonicalRequest) -> PricingResult:
         """Serve one quote from the fast (spectral) tier.
 
@@ -707,15 +743,15 @@ class QuoteService:
         # must not skew its hit/miss accounting — and must never serve
         # from it on this tier
         if self.cache.peek(req.key) is None:
-            self._enqueue_upgrade(req)
+            self._enqueue_refresh(req, upgrade=True)
         return out
 
     def _degrade_spectral(
         self, req: CanonicalRequest, reason: str
-    ) -> Optional[PricingResult]:
+    ) -> Optional[tuple]:
         """Last rung of the degradation ladder (opt-in, see
-        ``spectral_fallback``): an approximate spectral serve when no
-        stale entry is servable.
+        ``spectral_fallback``): an approximate spectral serve,
+        ``(result, "degraded")``, when no stale entry is servable.
 
         The serve is explicitly marked (``meta["degraded_to"]``) and
         journalled, a refresh is enqueued so the exact slot heals, and
@@ -729,11 +765,10 @@ class QuoteService:
             result = self._solve_spectral(req)
         except Exception:
             return None  # e.g. Bermudan: let the original rejection stand
-        out = _tagged(result, req, "degraded")
-        out.meta["degraded_to"] = "spectral"
-        out.meta["degrade_reason"] = reason
-        out.meta["tier"] = "fast"
-        out.meta.setdefault("tolerance", self._spectral().tolerance)
+        result.meta["degraded_to"] = "spectral"
+        result.meta["degrade_reason"] = reason
+        result.meta["tier"] = "fast"
+        result.meta.setdefault("tolerance", self._spectral().tolerance)
         with self._lock:
             self._degraded_spectral += 1
         self._enqueue_refresh(req)
@@ -742,47 +777,7 @@ class QuoteService:
                 "degraded_spectral", reason=reason,
                 bucket="/".join(map(str, self._bucket_of(req))),
             )
-        return out
-
-    def _gate_or_degrade(
-        self, req: CanonicalRequest, deadline: Optional[Deadline]
-    ) -> Optional[PricingResult]:
-        """Pre-solve gate for a cold quote: open breaker or spent deadline
-        short-circuits to a stale serve, then — with ``spectral_fallback``
-        — an approximate spectral serve, then a structured rejection.
-
-        Returns the decanonicalized degraded result, or None to proceed
-        with the solve.  Checks ``state`` — not ``allow()`` — so a
-        half-open probe slot is only consumed by the actual solve attempt
-        in :meth:`_resolve_group`, never burned twice per quote.
-        """
-        breaker = self._breaker_for(req)
-        if breaker is not None and breaker.state == OPEN:
-            canonical = self._stale_canonical(req)
-            if canonical is not None:
-                return self._mark_stale(
-                    _tagged(canonical, req, "stale"), "breaker_open"
-                )
-            degraded = self._degrade_spectral(req, "breaker_open")
-            if degraded is not None:
-                return degraded
-            raise breaker.reject(self._bucket_of(req))
-        if deadline is not None and deadline.expired:
-            with self._lock:
-                self._deadline_misses += 1
-            canonical = self._stale_canonical(req)
-            if canonical is not None:
-                return self._mark_stale(
-                    _tagged(canonical, req, "stale"), "deadline"
-                )
-            degraded = self._degrade_spectral(req, "deadline")
-            if degraded is not None:
-                return degraded
-            raise DeadlineExceeded(
-                f"deadline of {deadline.budget:g}s spent before the "
-                "solve could start and no stale entry is servable"
-            )
-        return None
+        return result, "degraded"
 
     # ------------------------------------------------------------------ #
     # Synchronous quoting
@@ -844,7 +839,7 @@ class QuoteService:
             )
         tel = self.telemetry
         if tel is None:
-            return self._quote_impl(
+            return self._quote_one(
                 spec, steps, model, method, base, lam,
                 return_boundary, deadline, tier,
             )
@@ -852,7 +847,7 @@ class QuoteService:
         seq0 = tel.journal.seq
         sp = tel.span("quote")
         with sp:
-            result = self._quote_impl(
+            result = self._quote_one(
                 spec, steps, model, method, base, lam,
                 return_boundary, deadline, tier,
             )
@@ -940,7 +935,7 @@ class QuoteService:
             return cached
         return self.cache.get(req.key)
 
-    def _quote_impl(
+    def _quote_one(
         self,
         spec: OptionSpec,
         steps: Optional[int],
@@ -950,8 +945,10 @@ class QuoteService:
         lam: Optional[float],
         return_boundary: bool,
         deadline: Optional[Deadline],
-        tier: str = "exact",
+        tier: str,
     ) -> PricingResult:
+        """:meth:`quote` without its telemetry wrapper: the warm-hit
+        shortcut and the tiers in front of the B = 1 pipeline call."""
         tel = self.telemetry
         if tel is not None:
             with tel.span("canonicalize"):
@@ -973,19 +970,7 @@ class QuoteService:
                     "'auto') for return_boundary=True"
                 )
             return self._serve_fast(req)
-        if tier == "auto" and not wants_boundary:
-            # exact first: a warm exact slot beats any approximation —
-            # and a cold one is served fast *now* with the exact upgrade
-            # queued behind it
-            cached = self.cache.get(req.key)
-            if cached is not None:
-                with self._lock:
-                    self._quotes += 1
-                out = _tagged(cached, req, "hit")
-                out.meta["tier"] = "exact"
-                out.meta["tolerance"] = 0.0
-                return out
-            return self._serve_fast(req)
+        auto = tier == "auto" and not wants_boundary
         if tel is not None:
             with tel.span("cache_lookup"):
                 cached = self._lookup_cached(req, wants_boundary)
@@ -996,103 +981,130 @@ class QuoteService:
         ):
             with self._lock:
                 self._quotes += 1
-            return _tagged(cached, req, "hit")
-        # Cold: an open breaker or spent budget degrades to a stale serve
-        # (or a structured rejection) before any solve is attempted.
-        degraded = self._gate_or_degrade(req, deadline)
-        if degraded is not None:
+            out = _tagged(cached, req, "hit")
+            if auto:
+                out.meta["tier"] = "exact"
+                out.meta["tolerance"] = 0.0
+            return out
+        if auto:
+            # exact first: a warm exact slot beats any approximation —
+            # and a cold one is served fast *now* with the exact upgrade
+            # queued behind it
+            return self._serve_fast(req)
+        outcome = self._serve(
+            [req], deadline, boundary=wants_boundary, looked_up=True
+        )[req.key]
+        if isinstance(outcome, BaseException):
+            raise outcome
+        result, tag = outcome
+        if cached is not None and tag == "miss":
+            # this call's own solve re-recorded a divider-less entry
             with self._lock:
-                self._quotes += 1
-            return degraded
-        # An identical submit may be queued: claim it — only *this* key,
-        # never the rest of the queue, so a latency-sensitive single quote
-        # cannot be taxed with a batch — or, when a concurrent flush already
-        # holds it mid-solve, ride that result.  Otherwise register our own
-        # solve in-flight so concurrent identical quotes and submits merge
-        # onto it instead of re-solving.  Divider requests always run their
-        # own boundary-recording solve (a queued solve records none) and
-        # resolve any claimed/registered pending from it.
-        claimed = waiting = own = None
+                self._boundary_upgrades += 1
+        return _tagged(result, req, tag)
+
+    def _serve(
+        self,
+        reqs: Sequence[CanonicalRequest],
+        deadline: Optional[Deadline],
+        *,
+        boundary: bool = False,
+        looked_up: bool = False,
+    ) -> dict:
+        """The one quote pipeline (:meth:`quote` is its B = 1 call,
+        :meth:`quote_many` its batch call): counts every request, then per
+        distinct key runs
+
+        1. the cache lookup, unless the caller ``looked_up`` and missed;
+        2. the pre-solve gate (:meth:`_gate`);
+        3. in-flight adoption: claim a queued submit of the key (only this
+           key — a latency-sensitive call is never taxed with unrelated
+           queued work), ride a solve of it running elsewhere, or register
+           its own pending for concurrent identical requests to ride;
+        4. one :meth:`_resolve_pendings` call for every key it solves;
+        5. the degradation ladder (:meth:`_degrade`) for every refusal.
+
+        ``boundary`` records the exercise divider; such a key never rides
+        a solve that records none.  Returns ``{key: (canonical result,
+        tag) or the key's exception}``.
+        """
         with self._lock:
-            pending = self._inflight.get(req.key)
-            if pending is not None:
+            self._quotes += len(reqs)
+        outcomes: dict = {}
+        hits: dict = {}
+        cold: list[CanonicalRequest] = []
+        for key, req in {r.key: r for r in reqs}.items():
+            cached = None if looked_up else self.cache.get(key)
+            if cached is not None:
+                hits[key] = cached
+                outcomes[key] = (cached, "hit")
+                continue
+            refusal = self._gate(req, deadline)
+            if refusal is None:
+                cold.append(req)
+            else:
+                outcomes[key] = self._degrade(req, refusal)
+        mine: list[tuple] = []  # (request, pending, tag) this call solves
+        rides: list[tuple] = []  # (request, pending, tag) solved elsewhere
+        with self._lock:
+            for key, cached in hits.items():
+                # a *shared* injected cache can hold a key this service
+                # still has queued: the hit resolves that ticket too
+                pending = self._inflight.get(key)
+                if pending is None:
+                    continue
                 try:
                     self._queue.remove(pending)
-                    claimed = pending
-                    self._merged += 1
                 except ValueError:
-                    waiting = pending  # a concurrent flush is solving it
-            else:
-                own = _Pending(req, deadline=deadline)
-                self._inflight[req.key] = own
-        if claimed is not None and claimed.deadline is None:
-            claimed.deadline = deadline  # our budget now bounds its solve
-        if waiting is not None and not wants_boundary:
-            with self._lock:
-                self._quotes += 1
+                    continue  # mid-solve elsewhere: it resolves itself
+                pending.canonical_result = cached
+                del self._inflight[key]
+                pending.event.set()
+            for req in cold:
+                pending = self._inflight.get(req.key)
+                if pending is None:
+                    pending = _Pending(req, deadline=deadline, boundary=boundary)
+                    self._inflight[req.key] = pending
+                    mine.append((req, pending, "miss"))
+                    continue
+                try:
+                    self._queue.remove(pending)
+                except ValueError:
+                    # a concurrent flush or call is solving it
+                    if boundary and not pending.boundary:
+                        # ...without the divider: solve our own, unregistered
+                        pending = _Pending(req, deadline=deadline, boundary=True)
+                        mine.append((req, pending, "miss"))
+                    else:
+                        rides.append((req, pending, "merged"))
+                        self._merged += 1
+                    continue
+                if pending.deadline is None:
+                    pending.deadline = deadline  # our budget bounds it too
+                pending.boundary = boundary
+                mine.append((req, pending, "merged"))
                 self._merged += 1
-            waiting.event.wait()
-            if waiting.error is not None:
-                raise waiting.error
-            return _tagged(waiting.canonical_result, req, "merged")
-        mine = claimed if claimed is not None else own
-        if mine is not None and not wants_boundary:
-            with self._lock:
-                self._quotes += 1
-            try:
-                self._resolve_group([mine])  # solve errors propagate
-            except (DeadlineExceeded, CircuitOpenError) as exc:
-                # the solve itself missed the budget (or hit an opening
-                # breaker): same degradation ladder as the pre-solve gate
-                with self._lock:
-                    self._deadline_misses += 1
-                canonical = self._stale_canonical(req)
-                if canonical is None:
-                    degraded = self._degrade_spectral(
-                        req,
-                        "breaker_open"
-                        if isinstance(exc, CircuitOpenError)
-                        else "deadline",
-                    )
-                    if degraded is not None:
-                        return degraded
-                    raise
-                return self._mark_stale(
-                    _tagged(canonical, req, "stale"), "deadline"
-                )
-            result = mine.canonical_result
-            if is_timeout(result):
-                # resilient solve tiers report budget misses as markers,
-                # not exceptions — degrade those identically
-                canonical = self._stale_canonical(req)
-                if canonical is not None:
-                    return self._mark_stale(
-                        _tagged(canonical, req, "stale"), "deadline"
-                    )
-                degraded = self._degrade_spectral(req, "deadline")
-                if degraded is not None:
-                    return degraded
-            return _tagged(
-                result, req,
-                "merged" if claimed is not None else "miss",
-            )
+        solving = [pending for _, pending, _ in mine]
         try:
-            result = self._solve_one_boundary(req)
-        except BaseException as exc:
-            if mine is not None:  # claimed/registered tickets must not hang
-                self._fail_pendings([mine], exc)
-            raise
-        self.cache.put(req.key, result)
-        if mine is not None:
-            mine.canonical_result = result
-            self._drop_inflight(mine)
-            mine.event.set()
-        with self._lock:
-            self._quotes += 1
-            self._solves += 1
-            if cached is not None:
-                self._boundary_upgrades += 1
-        return _tagged(result, req, "miss")
+            self._resolve_pendings(solving)
+        finally:
+            # even a BaseException mid-solve must not leave a pending
+            # wedged for the calls that ride it
+            self._abandon_unresolved(solving)
+        for req, pending, tag in mine + rides:
+            pending.event.wait()
+            result, error = pending.canonical_result, pending.error
+            if isinstance(error, (DeadlineExceeded, CircuitOpenError)) or (
+                error is None and is_timeout(result)
+            ):
+                outcomes[req.key] = self._degrade(req, error or result)
+            elif error is not None:
+                outcomes[req.key] = error
+            else:
+                outcomes[req.key] = (
+                    result, "failed" if is_marker(result) else tag
+                )
+        return outcomes
 
     def quote_many(
         self,
@@ -1107,18 +1119,21 @@ class QuoteService:
     ) -> list[PricingResult]:
         """Price a batch through the cache; results in submission order.
 
-        Requests are canonicalized, deduped by key, looked up, and the
-        distinct misses solved in one coalesced batch (``coalesce=False``:
-        one at a time).  Every duplicate of a solved key is served from that
-        single solve (``meta["cache"] == "merged"``).
+        The batch call of the quote pipeline: requests are canonicalized,
+        deduped by key, looked up, and the distinct misses solved in
+        coalesced bucket batches (a key queued via :meth:`submit` or in
+        flight elsewhere is ridden, not re-solved).  Every duplicate of a
+        solved key is served from that single solve
+        (``meta["cache"] == "merged"``).
 
-        ``deadline`` bounds the whole batch.  Keys whose solve misses the
-        budget — or whose bucket breaker is open — are degraded per key,
-        never per batch: served stale (``meta["stale"]``) when the cache
-        still holds them, or returned as explicit NaN-priced markers
-        (``meta["timeout"]`` / ``meta["failed"]``) otherwise; every other
-        key keeps its bit-exact price.  The batch keeps submission order
-        and raises nothing for these degradable outcomes.
+        ``deadline`` bounds the whole batch.  A key whose solve is refused
+        (budget spent, or bucket breaker open) walks :meth:`quote`'s
+        degradation ladder per key, never per batch — stale
+        (``meta["stale"]``), then the opt-in spectral serve — and where
+        :meth:`quote` would raise, returns an explicit NaN-priced marker
+        (``meta["timeout"]`` / ``meta["failed"]``); every other key keeps
+        its bit-exact price.  Submission order holds, and any other solve
+        error raises once the whole batch has resolved.
         """
         reqs = [
             self._canonicalize(s, steps, model, method, base, lam)
@@ -1126,147 +1141,33 @@ class QuoteService:
         ]
         if not reqs:
             return []
-        # counted up front so a failing solve cannot leave the quote/solve
-        # bookkeeping inconsistent
-        with self._lock:
-            self._quotes += len(reqs)
-        # Keys already queued via submit() are adopted — claimed out of the
-        # pending queue and solved as one bucket here (a key embeds the
-        # whole solve configuration, so adoptees are always compatible) —
-        # rather than solved twice or paid for with a full-queue drain.
-        with self._lock:
-            adopted: list[_Pending] = []
-            for key in dict.fromkeys(r.key for r in reqs):
-                pending = self._inflight.get(key)
-                if pending is not None:
-                    try:
-                        self._queue.remove(pending)
-                    except ValueError:
-                        continue  # mid-flush elsewhere; re-solved as a miss
-                    adopted.append(pending)
-        resolved: dict[tuple, PricingResult] = {}
-        tags: dict[tuple, str] = {}
-        adopted_by_key = {p.request.key: p for p in adopted}
-        own: list[_Pending] = []
-        for req in reqs:
-            if req.key in tags:
-                continue
-            pending = adopted_by_key.get(req.key)
-            if pending is not None:
-                cached = self.cache.get(req.key)
-                if cached is not None:
-                    # a *shared* injected cache can hold a key another
-                    # service solved after this one queued it: serve the
-                    # warm result and resolve the adopted ticket from it —
-                    # no solve at all
-                    del adopted_by_key[req.key]
-                    pending.canonical_result = cached
-                    self._drop_inflight(pending)
-                    pending.event.set()
-                    resolved[req.key] = cached
-                    tags[req.key] = "hit"
-                else:
-                    # this call pays the adopted solve — a merge with a
-                    # queued submit, not a cache hit (the lookup above
-                    # recorded the miss, matching quote()/submit() merges)
-                    tags[req.key] = "merged"
-                continue
-            cached = self.cache.get(req.key)
-            if cached is not None:
-                resolved[req.key] = cached
-                tags[req.key] = "hit"
-            else:
-                # ephemeral pending: never queued, but registered in-flight
-                # (when the key is free) so concurrent identical quotes and
-                # submits merge onto this call's solve; it rides the same
-                # resolution machinery (bucketing, poison isolation, cache
-                # stores) as the adopted submits
-                pending = _Pending(req, deadline=deadline)
-                with self._lock:
-                    if req.key not in self._inflight:
-                        self._inflight[req.key] = pending
-                own.append(pending)
-                tags[req.key] = "miss"
-        if deadline is not None:
-            for pending in adopted_by_key.values():
-                if pending.deadline is None:
-                    pending.deadline = deadline
-        to_resolve = list(adopted_by_key.values()) + own
-        if to_resolve:
-            # one bucketed resolution for adopted submits and this call's
-            # misses together: overlapping traffic coalesces into the same
-            # batched solves, and — since canonicalization normalizes
-            # base/lam per style — every result is cached under the key it
-            # was actually solved with
-            try:
-                self._resolve_pendings(to_resolve)
-            finally:
-                # mirror flush(): even a BaseException mid-retry must not
-                # leave a pending wedged (adoptees live in _inflight)
-                self._abandon_unresolved(to_resolve)
-            # Degradable outcomes — the budget ran out, or the bucket's
-            # breaker rejected — become per-key stale serves or explicit
-            # markers; anything else (a genuinely poisoned solve with no
-            # retry policy to marker-ize it) still raises as before.
-            first_error: Optional[BaseException] = None
-            for pending in to_resolve:
-                err = pending.error
-                if err is None:
-                    result = pending.canonical_result
-                    resolved[pending.request.key] = result
-                    # resilient solve tiers report per-cell budget misses
-                    # and exhausted failures as markers, not exceptions —
-                    # degrade a timeout marker to a stale serve when one
-                    # is available, and tag markers for what they are
-                    if is_timeout(result):
-                        canonical = self._stale_canonical(pending.request)
-                        if canonical is not None:
-                            resolved[pending.request.key] = canonical
-                            tags[pending.request.key] = "stale"
-                        else:
-                            tags[pending.request.key] = "timeout"
-                    elif is_marker(result):
-                        tags[pending.request.key] = "failed"
-                    continue
-                if isinstance(err, (DeadlineExceeded, CircuitOpenError)):
-                    preq = pending.request
-                    with self._lock:
-                        self._deadline_misses += isinstance(
-                            err, DeadlineExceeded
-                        )
-                    canonical = self._stale_canonical(preq)
-                    if canonical is not None:
-                        resolved[preq.key] = canonical
-                        tags[preq.key] = "stale"
-                    elif isinstance(err, DeadlineExceeded):
-                        resolved[preq.key] = timeout_result(
-                            preq.steps, preq.model, preq.method,
-                            detail=str(err),
-                        )
-                        tags[preq.key] = "timeout"
-                    else:
-                        resolved[preq.key] = failure_result(
-                            preq.steps, preq.model, preq.method, err
-                        )
-                        tags[preq.key] = "failed"
-                elif first_error is None:
-                    first_error = err
-            if first_error is not None:
-                raise first_error
+        outcomes = self._serve(reqs, deadline)
         out: list[PricingResult] = []
-        served_keys: set = set()
+        first_error: Optional[BaseException] = None
+        seen: set = set()
         merged = 0
         for req in reqs:
-            tag = tags[req.key]
-            if req.key in served_keys and tag == "miss":
-                tag = "merged"
-            served_keys.add(req.key)
-            if tag == "merged":
+            outcome = outcomes[req.key]
+            if isinstance(outcome, DeadlineExceeded):
+                outcome = timeout_result(
+                    req.steps, req.model, req.method, detail=str(outcome)
+                ), "timeout"
+            elif isinstance(outcome, CircuitOpenError):
+                outcome = failure_result(
+                    req.steps, req.model, req.method, outcome
+                ), "failed"
+            elif isinstance(outcome, BaseException):
+                if first_error is None:
+                    first_error = outcome
+                continue
+            result, tag = outcome
+            if req.key in seen and tag in ("miss", "merged"):
+                tag = "merged"  # a duplicate rides the key's one solve
                 merged += 1
-            served = _tagged(resolved[req.key], req, tag)
-            if tag == "stale":
-                self._mark_stale(served, "degraded")
-            out.append(served)
+            seen.add(req.key)
+            out.append(_tagged(result, req, tag))
+        if first_error is not None:
+            raise first_error
         with self._lock:
             self._merged += merged
         return out
@@ -1428,27 +1329,29 @@ class QuoteService:
         """The coalescing bucket: requests solvable as one batch."""
         return (req.model, req.method, req.steps, req.base, req.lam)
 
-    def _bucket_groups(
-        self, reqs: Sequence[CanonicalRequest]
-    ) -> "list[list[CanonicalRequest]]":
-        """Split requests into solve groups, honoring ``coalesce``."""
-        if not self.coalesce:
-            return [[r] for r in reqs]
-        buckets: "OrderedDict[tuple, list[CanonicalRequest]]" = OrderedDict()
-        for r in reqs:
-            buckets.setdefault(self._bucket_of(r), []).append(r)
-        return list(buckets.values())
-
     def _resolve_pendings(
         self, pendings: Sequence[_Pending]
     ) -> Optional[BaseException]:
         """Resolve pendings in coalescing buckets; returns the first group
-        error (each error already reached its own tickets)."""
-        by_request = {id(p.request): p for p in pendings}
+        error (each error already reached its own tickets).
+
+        A pending whose budget is already spent fails alone, before any
+        breaker can count it, while its bucket siblings still solve.
+        """
         first_error: Optional[BaseException] = None
-        for group in self._bucket_groups([p.request for p in pendings]):
+        buckets: dict[tuple, list[_Pending]] = {}
+        for p in pendings:
+            if p.deadline is not None and p.deadline.expired:
+                exc = _spent(p.deadline)
+                self._fail_pendings([p], exc)
+                if first_error is None:
+                    first_error = exc
+            else:
+                bucket = (self._bucket_of(p.request), p.boundary)
+                buckets.setdefault(bucket, []).append(p)
+        for group in buckets.values():
             try:
-                self._resolve_group([by_request[id(r)] for r in group])
+                self._resolve_group(group)
             except Exception as exc:  # noqa: BLE001 — kept for tickets
                 if first_error is None:
                     first_error = exc
@@ -1480,7 +1383,7 @@ class QuoteService:
         deadline = effective_deadline([p.deadline for p in group])
         try:
             results = self._solve_requests(
-                [p.request for p in group], deadline=deadline
+                [p.request for p in group], deadline, group[0].boundary
             )
         except Exception as exc:
             if breaker is not None:
@@ -1518,10 +1421,10 @@ class QuoteService:
     def _drop_inflight(self, pending: _Pending) -> None:
         """De-register exactly this pending (identity-checked).
 
-        quote_many's ephemeral pendings are never registered, and a
-        concurrent submit may have registered a *new* pending under the
-        same key — a blind ``pop(key)`` would evict that live entry and
-        break its merging.
+        A divider solve that could not ride a plain one is never
+        registered, and a concurrent submit may have registered a *new*
+        pending under the same key — a blind ``pop(key)`` would evict that
+        live entry and break its merging.
         """
         with self._lock:
             if self._inflight.get(pending.request.key) is pending:
@@ -1536,13 +1439,10 @@ class QuoteService:
             pending.event.set()
 
     def _abandon_unresolved(self, batch: Sequence[_Pending]) -> None:
-        for pending in batch:
-            if not pending.event.is_set():
-                pending.error = RuntimeError(
-                    "flush aborted before this request's bucket was solved"
-                )
-                self._drop_inflight(pending)
-                pending.event.set()
+        self._fail_pendings(
+            [p for p in batch if not p.event.is_set()],
+            RuntimeError("aborted before this request's bucket was solved"),
+        )
 
     # ------------------------------------------------------------------ #
     @property
@@ -1579,7 +1479,6 @@ class QuoteService:
                     "max_pending": self.max_pending,
                     "workers": self.workers,
                     "backend": self.backend if self.workers > 1 else "serial",
-                    "coalesce": self.coalesce,
                     "fast_quotes": self._fast_quotes,
                     "tier_upgrades": self._tier_upgrades,
                 },

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -88,6 +89,26 @@ class TestDeadlines:
         for r in out[1:]:
             assert r.meta.get("timeout") and math.isnan(r.price)
 
+    def test_gate_refusal_counts_the_quote(self, fake_clock):
+        svc = QuoteService(clock=fake_clock)
+        with pytest.raises(DeadlineExceeded):
+            svc.quote(SPEC, 96, deadline=Deadline(0.0, clock=fake_clock))
+        assert svc.stats()["service"]["quotes"] == 1
+
+    def test_spent_submit_never_reaches_the_breaker(self, fake_clock):
+        svc = QuoteService(
+            breaker=BreakerPolicy(failure_threshold=1), clock=fake_clock,
+        )
+        ticket = svc.submit(
+            SPEC, 96, deadline=Deadline(0.0, clock=fake_clock)
+        )
+        with pytest.raises(DeadlineExceeded):
+            ticket.result()
+        breakers = svc.stats()["resilience"]["breakers"]
+        assert breakers.get("binomial/fft/96", {"failures": 0})[
+            "failures"
+        ] == 0
+
     def test_submit_carries_deadline_to_flush(self, fake_clock):
         svc = QuoteService(clock=fake_clock)
         ticket = svc.submit(
@@ -137,6 +158,19 @@ class TestDeadlineMidSolve:
         assert svc._engine.cache_info()["checkpoints"] == 3
         assert len(svc.cache) == 1  # only the warm key
         assert svc.stats()["service"]["max_batch"] == 0  # no bucket finished
+
+
+    def test_boundary_quote_raises_mid_solve(self):
+        svc = QuoteService(breaker=BreakerPolicy(failure_threshold=5))
+        deadline = Deadline(3.0, clock=self.checkpoint_clock(svc))
+        with pytest.raises(DeadlineExceeded):
+            svc.quote(SPEC, 96, return_boundary=True, deadline=deadline)
+        assert svc._engine.cache_info()["checkpoints"] == 3
+        assert len(svc.cache) == 0
+        served = svc.quote(SPEC, 96, return_boundary=True)
+        assert served.boundary
+        breaker = svc.stats()["resilience"]["breakers"]["binomial/fft/96"]
+        assert breaker["failures"] == 1 and breaker["successes"] == 1
 
 
 class TestBreakers:
@@ -208,6 +242,45 @@ class TestBreakers:
             svc.stats()["resilience"]["breakers"]["bsm-fd/fft/8"]["state"]
             == "open"
         )
+
+    def test_refusal_mid_probe_serves_stale_as_breaker_open(
+        self, fake_clock, monkeypatch
+    ):
+        import repro.service.service as svc_mod
+
+        svc = self.make_service(
+            fake_clock, ttl=5.0, stale_grace=1000.0,
+            breaker=BreakerPolicy(failure_threshold=1, reset_timeout=30.0),
+        )
+        warm = svc.quote(GOOD_BSM_PUT, 8)
+        fake_clock.advance(10.0)  # entry stale
+        self.trip(svc, n=1)
+        fake_clock.advance(30.0)  # half-open: one probe slot
+        entered, gate = threading.Event(), threading.Event()
+        real = svc_mod.price_many
+
+        def gated(*args, **kwargs):
+            entered.set()
+            assert gate.wait(10)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(svc_mod, "price_many", gated)
+        probe = threading.Thread(
+            target=svc.quote,
+            args=(dataclasses.replace(GOOD_BSM_PUT, strike=110.0), 8),
+        )
+        probe.start()
+        assert entered.wait(10)  # the probe holds the slot mid-solve
+        try:
+            r = svc.quote(GOOD_BSM_PUT, 8)  # the breaker refuses this one
+        finally:
+            gate.set()
+            probe.join(10)
+        assert not probe.is_alive()
+        assert r.meta["cache"] == "stale"
+        assert r.meta["stale_reason"] == "breaker_open"
+        assert r.price == warm.price
+        assert svc.stats()["resilience"]["deadline_misses"] == 0
 
     def test_pre_solve_deadline_misses_do_not_trip_breaker(self, fake_clock):
         svc = QuoteService(

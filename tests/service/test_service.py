@@ -2,6 +2,7 @@
 
 import dataclasses
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -169,22 +170,6 @@ class TestQuoteMany:
         warm = svc.quote(SPEC, 96, base=16)
         assert warm.meta["cache"] == "hit"
         assert warm.price == reference.price
-
-    def test_coalesce_off_adoption_solves_individually(self):
-        svc = QuoteService(coalesce=False)
-        a, b = strikes(2)
-        svc.submit(a, 96)
-        svc.submit(b, 96)
-        svc.quote_many([a, b], 96)
-        stats = svc.stats()["service"]
-        assert stats["solves"] == 2 and stats["batches"] == 0
-
-    def test_coalesce_off_solves_individually(self):
-        svc = QuoteService(coalesce=False)
-        results = svc.quote_many(strikes(3), 96)
-        assert len(results) == 3
-        stats = svc.stats()["service"]
-        assert stats["solves"] == 3 and stats["batches"] == 0
 
     def test_empty(self):
         assert QuoteService().quote_many([], 96) == []
@@ -468,6 +453,28 @@ class TestConcurrency:
         assert svc.stats()["service"]["solves"] == 1
         assert ticket.result().price == out["r"][0].price
 
+    def test_quote_many_rides_a_concurrent_flush(self, monkeypatch):
+        svc, entered, gate = self._gated_service(monkeypatch)
+        ticket = svc.submit(SPEC, 64)
+        flusher = threading.Thread(target=svc.flush)
+        flusher.start()
+        assert entered.wait(10)  # the flush holds the key mid-solve
+        out = {}
+        t = threading.Thread(
+            target=lambda: out.update(r=svc.quote_many([SPEC], 64))
+        )
+        t.start()
+        for _ in range(500):  # until quote_many has joined that solve
+            if svc.stats()["service"]["merged_requests"]:
+                break
+            time.sleep(0.01)
+        gate.set()
+        flusher.join(10), t.join(10)
+        assert not flusher.is_alive() and not t.is_alive()
+        assert out["r"][0].meta["cache"] == "merged"
+        assert svc.stats()["service"]["solves"] == 1
+        assert out["r"][0].price == ticket.result().price
+
     def test_drop_inflight_is_identity_checked(self):
         # a blind pop-by-key would evict a concurrent submit's live pending
         from repro.service.canonical import canonicalize
@@ -493,7 +500,7 @@ class TestStats:
         for key in (
             "quotes", "solves", "batches", "batched_requests", "max_batch",
             "merged_requests", "boundary_upgrades", "overloads", "pending",
-            "max_pending", "workers", "backend", "coalesce",
+            "max_pending", "workers", "backend",
         ):
             assert key in stats["service"]
 

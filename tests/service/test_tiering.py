@@ -236,6 +236,21 @@ class TestDegradation:
         assert result.meta["tolerance"] == SPECTRAL_TOL
         assert svc.stats()["resilience"]["degraded_spectral"] == 1
 
+    def test_quote_many_degrades_to_marked_spectral(self):
+        clock = FakeClock()
+        svc = make_bsm_service(clock, spectral_fallback=True)
+        trip(svc)
+        [open_bucket] = svc.quote_many([GOOD_BSM_PUT], 8)
+        [spent] = svc.quote_many([GOOD_BSM_PUT], 64, deadline=Deadline(0.0))
+        for result, reason in ((open_bucket, "breaker_open"),
+                               (spent, "deadline")):
+            assert result.meta["cache"] == "degraded"
+            assert result.meta["degraded_to"] == "spectral"
+            assert result.meta["degrade_reason"] == reason
+            assert result.meta["tier"] == "fast"
+            assert result.price > 0.0
+        assert svc.stats()["resilience"]["degraded_spectral"] == 2
+
     def test_spent_deadline_degrades_to_marked_spectral(self):
         svc = QuoteService(spectral_fallback=True)
         result = svc.quote(AMERICAN_PUT, 64, deadline=Deadline(0.0))
