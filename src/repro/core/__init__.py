@@ -17,10 +17,8 @@ from repro.core.backend import (
     register_backend,
 )
 from repro.core.bermudan import (
-    price_bsm_european_fft,
     price_tree_bermudan_fft,
     price_tree_bermudan_fft_batch,
-    price_tree_european_fft,
 )
 from repro.core.bsm_solver import BSMFFTResult, solve_bsm_fft, solve_bsm_fft_batch
 from repro.core.fftstencil import (
@@ -50,10 +48,8 @@ __all__ = [
     "price_bermudan",
     "price_european",
     "price_many",
-    "price_bsm_european_fft",
     "price_tree_bermudan_fft",
     "price_tree_bermudan_fft_batch",
-    "price_tree_european_fft",
     "BSMFFTResult",
     "solve_bsm_fft",
     "solve_bsm_fft_batch",

@@ -180,11 +180,15 @@ def price_european(
     policy: AdvancePolicy = DEFAULT_POLICY,
     engine: Optional[AdvanceEngine] = None,
 ) -> PricingResult:
-    """European pricing: ``fft`` = one O(T log T) jump; ``loop`` = sweep."""
-    return _lattice_price(
-        [spec.with_style(Style.EUROPEAN)], steps, model=model, method=method,
+    """European pricing: ``fft`` = one O(T log T) jump; ``loop`` = sweep.
+
+    The B = 1 European call of the lattice backend, so the result records
+    ``meta["backend"]`` exactly as :func:`price_many` does.
+    """
+    return get_backend("lattice").price_spec(
+        spec.with_style(Style.EUROPEAN), steps, model=model, method=method,
         lam=lam, policy=policy, engine=engine,
-    )[0]
+    )
 
 
 def price_bermudan(
@@ -295,9 +299,11 @@ def _batch_european_bsm_fft(
 ) -> list[PricingResult]:
     """Batched European FD-grid puts: one multi-kernel cone jump.
 
-    Mirrors :func:`repro.core.bermudan.price_bsm_european_fft` per row
-    (same payoff row, same single ``steps``-row jump, same apex scaling),
-    with all rows advanced by one ``advance_batch`` call.
+    Each row is the put's payoff on the cone's base row, advanced
+    ``steps`` rows to the apex in one jump and scaled by the strike —
+    discretisation-identical to :func:`repro.lattice.price_bsm_fd` with
+    ``Style.EUROPEAN`` — with all rows advanced by one ``advance_batch``
+    call.
     """
     params_list = [
         BSMGridParams.from_spec(s.with_style(Style.EUROPEAN), steps, lam=lam)

@@ -27,8 +27,7 @@ from repro.core.fftstencil import DEFAULT_POLICY, AdvanceEngine, AdvancePolicy
 from repro.core.lockstep import AdvanceRequest, drive_lockstep
 from repro.core.metrics import SolveStats
 from repro.core.tree_solver import TreeFFTResult
-from repro.options.contract import Right
-from repro.options.params import BinomialParams, BSMGridParams, TrinomialParams
+from repro.options.params import BinomialParams, TrinomialParams
 from repro.options.payoff import terminal_payoff
 from repro.parallel.workspan import WorkSpan, rows_cost
 from repro.util.validation import ValidationError, check_integer
@@ -172,46 +171,3 @@ def price_tree_bermudan_fft_batch(
         result.meta["batched"] = True
         result.meta["batch_size"] = len(results)
     return results
-
-
-def price_tree_european_fft(
-    params: TreeParams,
-    *,
-    policy: AdvancePolicy = DEFAULT_POLICY,
-    engine: Optional[AdvanceEngine] = None,
-) -> TreeFFTResult:
-    """European tree pricing: one ``O(T log T)`` jump from expiry to root."""
-    return price_tree_bermudan_fft(params, (), policy=policy, engine=engine)
-
-
-def price_bsm_european_fft(
-    params: BSMGridParams,
-    *,
-    policy: AdvancePolicy = DEFAULT_POLICY,
-    engine: Optional[AdvanceEngine] = None,
-) -> TreeFFTResult:
-    """European put on the FD cone grid: a single ``O(T log T)`` jump.
-
-    Discretisation-identical to :func:`repro.lattice.price_bsm_fd` with
-    ``Style.EUROPEAN`` — used by the convergence tests against the
-    closed-form Black–Scholes put.
-    """
-    if params.spec.right is not Right.PUT:
-        raise ValidationError("the BSM FD grid prices puts")
-    T = params.steps
-    stats = SolveStats()
-    if engine is None:
-        engine = AdvanceEngine(policy)
-    k = np.arange(-T, T + 1)
-    values = np.maximum(params.payoff(k), 0.0)
-    ws = rows_cost(1, 2 * T + 1, 1)
-    values, rec = engine.advance(values, params.taps, T, scale=1.0)
-    stats.note_advance(rec.method, rec.input_len, rec.spectrum_hit)
-    return TreeFFTResult(
-        price=float(params.spec.strike * values[0]),
-        steps=T,
-        workspan=ws.then(rec.workspan),
-        stats=stats,
-        boundary=None,
-        meta={"model": "bsm-fd", "style": "european", "params": params},
-    )

@@ -14,6 +14,7 @@ from repro import (
     price_american,
     price_bermudan,
     price_european,
+    price_many,
 )
 from repro.options.analytic import european_price
 from repro.util.validation import ValidationError
@@ -184,6 +185,15 @@ class TestPriceEuropean:
     def test_rejects_baseline_methods(self):
         with pytest.raises(ValidationError):
             price_european(SPEC, 16, method="zb")
+
+    @pytest.mark.parametrize("method", ["fft", "loop"])
+    def test_records_the_lattice_backend_like_price_many(self, method):
+        euro = SPEC.with_style(Style.EUROPEAN)
+        lone = price_european(euro, 128, method=method)
+        [batched] = price_many([euro], 128, method=method)
+        assert lone.meta["backend"] == batched.meta["backend"] == "lattice"
+        assert lone.price == batched.price
+        assert lone.stats == batched.stats
 
 
 class TestPriceBermudan:

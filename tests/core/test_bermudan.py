@@ -4,11 +4,8 @@ import dataclasses
 
 import pytest
 
-from repro.core.bermudan import (
-    price_bsm_european_fft,
-    price_tree_bermudan_fft,
-    price_tree_european_fft,
-)
+from repro.core.api import price_european
+from repro.core.bermudan import price_tree_bermudan_fft
 from repro.lattice.binomial import price_binomial
 from repro.lattice.blackscholes_fd import price_bsm_fd
 from repro.lattice.trinomial import price_trinomial
@@ -33,24 +30,24 @@ class TestEuropeanTree:
     @pytest.mark.parametrize("T", [1, 2, 7, 64, 500])
     def test_matches_lattice_european(self, right, T):
         spec = make(right=right, style=Style.EUROPEAN)
-        fft = price_tree_european_fft(BinomialParams.from_spec(spec, T)).price
+        fft = price_european(spec, T, model="binomial").price
         loop = price_binomial(spec, T).price
         assert fft == pytest.approx(loop, abs=1e-9 * spec.strike)
 
     def test_trinomial_matches(self):
         spec = make(style=Style.EUROPEAN)
-        fft = price_tree_european_fft(TrinomialParams.from_spec(spec, 300)).price
+        fft = price_european(spec, 300, model="trinomial").price
         loop = price_trinomial(spec, 300).price
         assert fft == pytest.approx(loop, abs=1e-9 * spec.strike)
 
     def test_converges_to_black_scholes(self):
         spec = make(style=Style.EUROPEAN)
-        fft = price_tree_european_fft(BinomialParams.from_spec(spec, 4096)).price
+        fft = price_european(spec, 4096, model="binomial").price
         assert fft == pytest.approx(european_price(spec), abs=0.01)
 
     def test_single_jump(self):
-        r = price_tree_european_fft(BinomialParams.from_spec(make(), 512))
-        assert r.stats.fft_calls + r.stats.direct_calls == 1
+        r = price_european(make(), 512, model="binomial")
+        assert r.stats["fft_calls"] + r.stats["direct_calls"] == 1
         assert r.meta["style"] == "european"
 
 
@@ -76,7 +73,7 @@ class TestBermudanTree:
     def test_no_dates_is_european(self):
         spec = make(right=Right.PUT)
         a = price_tree_bermudan_fft(BinomialParams.from_spec(spec, 64), ()).price
-        b = price_tree_european_fft(BinomialParams.from_spec(spec, 64)).price
+        b = price_european(spec, 64, model="binomial").price
         assert a == b
 
     def test_dense_dates_approach_american(self):
@@ -115,7 +112,7 @@ class TestEuropeanBSM:
     @pytest.mark.parametrize("T", [1, 8, 64, 512])
     def test_matches_fd_european(self, T):
         spec = make(right=Right.PUT, dividend_yield=0.0, style=Style.EUROPEAN)
-        fft = price_bsm_european_fft(BSMGridParams.from_spec(spec, T)).price
+        fft = price_european(spec, T, model="bsm-fd").price
         loop = price_bsm_fd(spec, T).price
         assert fft == pytest.approx(loop, abs=1e-9 * spec.strike)
 
