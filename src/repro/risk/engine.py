@@ -199,17 +199,16 @@ def _price_chunk(
     kwargs: dict,
     attempt: int,
     plan: Optional[FaultPlan],
-    pricers: Optional[Sequence[Optional[str]]],
+    pricers: Sequence[str],
 ) -> tuple[list[PricingResult], float]:
     """Price grid cells ``[lo, lo + len(specs))`` as one batch on
     ``engine``; returns (results, in-worker seconds).
 
-    ``pricers`` (mixed-backend grids only) names the pricer backend per
-    cell: the chunk is split into contiguous runs of equal backend, each
-    run batch-priced on its backend, so a uniform grid — ``pricers is
-    None`` — makes a single ``price_many`` call with full-chunk dedup.
-    Mixed chunks dedup within each run.  ``deduplicated_of`` indexes come
-    back rebased to flat grid order.
+    ``pricers`` names the pricer backend per cell: the chunk is split into
+    contiguous runs of equal backend, each run batch-priced on its
+    backend, so a uniform chunk is one run — a single ``price_many`` call
+    with full-chunk dedup.  Mixed chunks dedup within each run.
+    ``deduplicated_of`` indexes come back rebased to flat grid order.
 
     A fault ``plan`` fires its ``before`` hook for every cell, keyed on
     the **flat grid index and attempt number**, before the batch runs — so
@@ -222,23 +221,20 @@ def _price_chunk(
     if plan is not None:
         for cell in range(lo, lo + len(specs)):
             plan.before(cell, attempt)
-    if pricers is None:
-        results = price_many(specs, steps, engine=engine, **kwargs)
-    else:
-        results = []
-        start = 0
-        n = len(specs)
-        while start < n:
-            stop = start + 1
-            while stop < n and pricers[stop] == pricers[start]:
-                stop += 1
-            run = price_many(
-                specs[start:stop], steps, engine=engine,
-                backend=pricers[start], **kwargs,
-            )
-            _rebase_dedup_indices(run, start)
-            results.extend(run)
-            start = stop
+    results = []
+    start = 0
+    n = len(specs)
+    while start < n:
+        stop = start + 1
+        while stop < n and pricers[stop] == pricers[start]:
+            stop += 1
+        run = price_many(
+            specs[start:stop], steps, engine=engine,
+            backend=pricers[start], **kwargs,
+        )
+        _rebase_dedup_indices(run, start)
+        results.extend(run)
+        start = stop
     if plan is not None:
         results = [
             plan.after(cell, attempt, r) for cell, r in enumerate(results, lo)
@@ -265,7 +261,7 @@ def _worker_track(lo: int, hi: int, t0: float, t1: float) -> dict:
 
 def _pool_chunk(
     payload: tuple[int, list[OptionSpec], int, dict, AdvancePolicy, int,
-                   Optional[FaultPlan], Optional[list]],
+                   Optional[FaultPlan], list],
 ) -> tuple[list[PricingResult], float, dict, dict]:
     """Executor task: :func:`_price_chunk` on this worker's persistent
     engine.
@@ -574,16 +570,9 @@ class ScenarioEngine:
             "lam": self.lam if lam is None else lam,
             "policy": self.policy,
         }
-        # Per-cell pricer backends (``None``: the lattice).  A uniform
-        # assignment collapses into ``kwargs`` (whole-chunk dedup and one
-        # price_many call per chunk); only a genuinely mixed grid pays the
-        # contiguous-run split in _price_chunk.
-        cell_pricers = [c.backend or "lattice" for c in grid.cells]
-        pricers: Optional[list] = None
-        if len(set(cell_pricers)) > 1:
-            pricers = cell_pricers
-        elif cell_pricers:
-            kwargs["backend"] = cell_pricers[0]
+        # Per-cell pricer backends (``None``: the lattice); _price_chunk
+        # prices each contiguous run of one backend as one batch.
+        pricers = [c.backend or "lattice" for c in grid.cells]
         if retry is None:
             retry = self.retry
         if fault_plan is None:
@@ -737,7 +726,7 @@ class ScenarioEngine:
         deadline: Optional[Deadline],
         retry: Optional[RetryPolicy],
         plan: Optional[FaultPlan],
-        pricers: "Optional[list]",
+        pricers: list,
     ) -> tuple[float, dict, Optional[dict], list]:
         """Price ``chunks`` into ``results`` in place; returns
         ``(cells_wall, rmeta, engine_info, worker_tracks)``.
@@ -860,9 +849,6 @@ class ScenarioEngine:
                     results[cell] = r
             return follow
 
-        def cell_pricers(lo: int, hi: int) -> Optional[list]:
-            return None if pricers is None else pricers[lo:hi]
-
         if pool is None:
             engine = AdvanceEngine(self.policy)
             if tel is not None:
@@ -883,7 +869,7 @@ class ScenarioEngine:
                     ):
                         rows, seconds = _price_chunk(
                             engine, lo, specs[lo:hi], steps, kwargs,
-                            attempt, plan, cell_pricers(lo, hi),
+                            attempt, plan, pricers[lo:hi],
                         )
                 except Exception as exc:
                     follow = fail(lo, hi, attempt, exc)
@@ -902,7 +888,7 @@ class ScenarioEngine:
                     continue
                 payload = (
                     lo, specs[lo:hi], steps, kwargs, self.policy,
-                    attempt, plan, cell_pricers(lo, hi),
+                    attempt, plan, pricers[lo:hi],
                 )
                 pending[pool.submit(_pool_chunk, payload)] = (
                     lo, hi, attempt, generation,
