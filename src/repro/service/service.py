@@ -113,7 +113,7 @@ class ServiceOverloadedError(RuntimeError):
         self.max_pending = max_pending
 
 
-@dataclass
+@dataclass(eq=False)  # identity: a queue claim must not compare fields
 class _Pending:
     """One queued canonical solve, shared by every ticket that merged into it."""
 

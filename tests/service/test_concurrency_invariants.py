@@ -1,9 +1,10 @@
 """Seeded concurrency invariants for QuoteService's shared state.
 
 Four client threads issue mixed ``quote`` (exact/auto/fast),
-``quote_many``, ``submit`` + ``result()`` and ``flush`` traffic over 12
-contracts at two step counts against an 8-entry cache, so in-flight
-adoption, tier upgrades, evictions and concurrent flushes all interleave.
+``quote_many`` (batches may repeat a contract), ``submit`` + ``result()``
+and ``flush`` traffic over 12 contracts at two step counts against an
+8-entry cache, so in-flight adoption, tier upgrades, evictions and
+concurrent flushes all interleave.
 Each thread's operations come from its own seeded stream; the
 interleaving is whatever the scheduler makes of them, so the assertions
 are invariants that must hold under every interleaving:
@@ -106,7 +107,7 @@ class Client:
             out = self.call(svc.quote, spec, steps, tier=rng.choice(TIERS))
             self.served.append((spec, steps, out))
         elif kind < 0.65:
-            specs = rng.sample(CONTRACTS, rng.randint(2, 5))
+            specs = rng.choices(CONTRACTS, k=rng.randint(2, 5))
             self.requests += len(specs)
             out = self.call(
                 svc.quote_many, specs, steps, deadline=self.deadline()
