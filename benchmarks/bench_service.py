@@ -1,4 +1,4 @@
-"""QuoteService throughput: cold vs warm, coalescing on/off, Zipf streams.
+"""QuoteService throughput: cold vs warm, coalesced vs per-request, Zipf.
 
 Writes ``BENCH_service.json`` (repo root by default) with four measurements:
 
@@ -8,10 +8,10 @@ Writes ``BENCH_service.json`` (repo root by default) with four measurements:
    cold solve, and warm prices *bit-identical* to cold at quantization
    tolerance 0.
 2. **Coalescing** — the same unique book through ``quote_many``
-   (coalesced), ``coalesce=False`` (per-request solves), and direct
-   ``price_many`` (no service layer).  Gate: the coalesced path is no
-   slower than direct ``price_many`` (≤ 5% measurement-noise allowance on
-   the min-of-repeats).
+   (coalesced), a loop of lone ``quote`` calls on a fresh service
+   (per-request solves), and direct ``price_many`` (no service layer).
+   Gate: the coalesced path is no slower than direct ``price_many``
+   (a 0.90x measurement-noise allowance on the min-of-repeats).
 3. **Symmetry fold** — N calls plus their N McDonald–Schroder dual puts:
    2N requests, N canonical solves.
 4. **Zipf stream** — a synthetic heavy-traffic tail (rank-frequency
@@ -93,14 +93,19 @@ def bench_cold_warm(book: list, steps: int, repeats: int) -> dict:
     }
 
 
+def per_request(book: list, steps: int) -> list:
+    """The book as lone ``quote`` calls on a fresh service: one solve per
+    contract, nothing coalesced."""
+    svc = QuoteService()
+    return [svc.quote(spec, steps) for spec in book]
+
+
 def bench_coalescing(book: list, steps: int, repeats: int) -> dict:
     t_direct, direct = best_of(repeats, lambda: price_many(book, steps))
     t_coalesced, served = best_of(
         repeats, lambda: QuoteService().quote_many(book, steps)
     )
-    t_uncoalesced, _ = best_of(
-        repeats, lambda: QuoteService(coalesce=False).quote_many(book, steps)
-    )
+    t_per_request, _ = best_of(repeats, lambda: per_request(book, steps))
     max_rel = max(
         abs(s.price - d.price) / abs(d.price) for s, d in zip(served, direct)
     )
@@ -108,9 +113,9 @@ def bench_coalescing(book: list, steps: int, repeats: int) -> dict:
         "n_unique": len(book),
         "direct_price_many_wall_s": t_direct,
         "coalesced_wall_s": t_coalesced,
-        "uncoalesced_wall_s": t_uncoalesced,
+        "per_request_wall_s": t_per_request,
         "coalesced_vs_direct": t_direct / t_coalesced,
-        "coalesced_vs_uncoalesced": t_uncoalesced / t_coalesced,
+        "coalesced_vs_per_request": t_per_request / t_coalesced,
         "max_rel_diff_vs_direct": max_rel,
     }
 
@@ -206,8 +211,8 @@ def main() -> int:
     print(
         f"direct {co['direct_price_many_wall_s']*1e3:7.1f} ms   coalesced "
         f"{co['coalesced_wall_s']*1e3:7.1f} ms "
-        f"({co['coalesced_vs_direct']:.2f}x)   uncoalesced "
-        f"{co['uncoalesced_wall_s']*1e3:7.1f} ms   rel-diff "
+        f"({co['coalesced_vs_direct']:.2f}x)   per-request "
+        f"{co['per_request_wall_s']*1e3:7.1f} ms   rel-diff "
         f"{co['max_rel_diff_vs_direct']:.2e}"
     )
     assert co["max_rel_diff_vs_direct"] <= 1e-12, "service prices drifted"
