@@ -828,10 +828,11 @@ class QuoteService:
         marked ``meta["stale"]``, refresh enqueued — if the cache still
         holds the key within its stale grace, and raises
         :class:`~repro.resilience.deadline.DeadlineExceeded` otherwise.
-        The same degradation applies when the bucket's circuit breaker is
-        open (and, with ``spectral_fallback``, degrades one rung further
-        to a marked spectral serve before rejecting).  Warm keys are
-        always served; a deadline never costs a cache hit anything.
+        The same degradation applies when the bucket's circuit breaker
+        refuses the solve (and, with ``spectral_fallback``, degrades one
+        rung further to a marked spectral serve before rejecting); markers
+        from a resilient solve tier are tagged ``"timeout"``/``"failed"``.
+        Warm keys are always served; a deadline never costs a hit a thing.
         """
         if tier not in self._TIERS:
             raise ValidationError(
