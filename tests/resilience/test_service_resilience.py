@@ -159,7 +159,6 @@ class TestDeadlineMidSolve:
         assert len(svc.cache) == 1  # only the warm key
         assert svc.stats()["service"]["max_batch"] == 0  # no bucket finished
 
-
     def test_boundary_quote_raises_mid_solve(self):
         svc = QuoteService(breaker=BreakerPolicy(failure_threshold=5))
         deadline = Deadline(3.0, clock=self.checkpoint_clock(svc))
