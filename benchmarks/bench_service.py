@@ -10,8 +10,9 @@ Writes ``BENCH_service.json`` (repo root by default) with four measurements:
 2. **Coalescing** — the same unique book through ``quote_many``
    (coalesced), a loop of lone ``quote`` calls on a fresh service
    (per-request solves), and direct ``price_many`` (no service layer).
-   Gate: the coalesced path is no slower than direct ``price_many``
-   (a 0.90x measurement-noise allowance on the min-of-repeats).
+   Gate: the coalesced path is no slower than direct ``price_many``: the
+   median of the direct/coalesced wall ratios over alternating pairs is
+   at least 0.90 (a measurement-noise allowance).
 3. **Symmetry fold** — N calls plus their N McDonald–Schroder dual puts:
    2N requests, N canonical solves.
 4. **Zipf stream** — a synthetic heavy-traffic tail (rank-frequency
@@ -100,22 +101,39 @@ def per_request(book: list, steps: int) -> list:
     return [svc.quote(spec, steps) for spec in book]
 
 
-def bench_coalescing(book: list, steps: int, repeats: int) -> dict:
-    t_direct, direct = best_of(repeats, lambda: price_many(book, steps))
-    t_coalesced, served = best_of(
-        repeats, lambda: QuoteService().quote_many(book, steps)
-    )
+def bench_coalescing(book: list, steps: int, repeats: int, pairs: int) -> dict:
+    """Coalesced ``quote_many`` against direct ``price_many``, in pairs.
+
+    Each pair times both contenders back to back, and the first runner
+    alternates from pair to pair, so a host whose speed drifts over
+    seconds moves both walls of a pair together; the gate reads the
+    median of the per-pair ratios.
+    """
+    contenders = {
+        "direct": lambda: price_many(book, steps),
+        "coalesced": lambda: QuoteService().quote_many(book, steps),
+    }
+    walls: dict = {name: [] for name in contenders}
+    out: dict = {}
+    for i in range(pairs):
+        order = sorted(contenders, reverse=bool(i % 2))
+        for name in order:
+            wall, out[name] = best_of(1, contenders[name])
+            walls[name].append(wall)
+    ratios = [d / c for d, c in zip(walls["direct"], walls["coalesced"])]
     t_per_request, _ = best_of(repeats, lambda: per_request(book, steps))
     max_rel = max(
-        abs(s.price - d.price) / abs(d.price) for s, d in zip(served, direct)
+        abs(s.price - d.price) / abs(d.price)
+        for s, d in zip(out["coalesced"], out["direct"])
     )
     return {
         "n_unique": len(book),
-        "direct_price_many_wall_s": t_direct,
-        "coalesced_wall_s": t_coalesced,
+        "direct_price_many_wall_s": min(walls["direct"]),
+        "coalesced_wall_s": min(walls["coalesced"]),
         "per_request_wall_s": t_per_request,
-        "coalesced_vs_direct": t_direct / t_coalesced,
-        "coalesced_vs_per_request": t_per_request / t_coalesced,
+        "pair_ratios": ratios,
+        "coalesced_vs_direct": float(np.median(ratios)),
+        "coalesced_vs_per_request": t_per_request / min(walls["coalesced"]),
         "max_rel_diff_vs_direct": max_rel,
     }
 
@@ -206,20 +224,20 @@ def main() -> int:
     if not args.smoke:
         assert cw["warm_speedup_vs_cold"] >= 10.0, "warm cache under 10x"
 
-    co = bench_coalescing(book, steps, repeats)
+    co = bench_coalescing(book, steps, repeats, 3 if args.smoke else 11)
     report["coalescing"] = co
     print(
         f"direct {co['direct_price_many_wall_s']*1e3:7.1f} ms   coalesced "
         f"{co['coalesced_wall_s']*1e3:7.1f} ms "
-        f"({co['coalesced_vs_direct']:.2f}x)   per-request "
+        f"(median pair {co['coalesced_vs_direct']:.2f}x)   per-request "
         f"{co['per_request_wall_s']*1e3:7.1f} ms   rel-diff "
         f"{co['max_rel_diff_vs_direct']:.2e}"
     )
     assert co["max_rel_diff_vs_direct"] <= 1e-12, "service prices drifted"
     if not args.smoke:
-        # repeated runs on a quiet host show statistical parity (ratio
-        # 0.94-1.3 around 1.0); 0.90 is below the measured scheduling-noise
-        # floor of a busy 1-CPU container, so only a real regression trips it
+        # the two paths are at parity; on a shared 2-vCPU host the median
+        # of alternating pair ratios read 0.95-1.08, while one min-of-5 per
+        # side, timed seconds apart, read 0.78-1.79
         assert co["coalesced_vs_direct"] >= 0.90, (
             "coalesced quote_many slower than direct price_many beyond noise"
         )

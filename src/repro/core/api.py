@@ -514,8 +514,8 @@ def price_many(
 ) -> list[PricingResult]:
     """Price a portfolio of contracts, amortising FFT plans across solves.
 
-    The library's batch door (scenario grids, Greek bump ladders,
-    implied-vol ladders and coalesced service buckets all enter here).
+    The library's batch door (scenario grids, Greek bump ladders and
+    coalesced service buckets all enter here).
     Each spec is priced per its own ``style`` (American or European;
     Bermudan contracts need explicit dates — use :func:`price_bermudan`).
     On the default ``"lattice"`` backend all solves share one plan-caching
@@ -523,12 +523,12 @@ def price_many(
     contracts are grouped by *step schedule* (style), not by identical
     spec, and each group marches in lockstep through multi-kernel
     :meth:`~repro.core.fftstencil.AdvanceEngine.advance_batch` transforms —
-    a scenario grid, an implied-vol ladder or a Greek bump grid whose cells
-    all differ in vol/rate batches exactly as well as a strike strip on one
-    underlying.  Every result equals the contract's lone
-    :func:`price_american` / :func:`price_european` answer.  Bit-identical
-    repeated contracts are solved once and the result fanned out in input
-    order (duplicates carry ``meta["deduplicated_of"]``).
+    a scenario grid or a Greek bump grid whose cells all differ in
+    vol/rate batches exactly as well as a strike strip on one underlying.
+    Every result equals the contract's lone :func:`price_american` /
+    :func:`price_european` answer.  Bit-identical repeated contracts are
+    solved once and the result fanned out in input order (duplicates carry
+    ``meta["deduplicated_of"]``).
 
     ``backend`` names the registered
     :class:`~repro.core.backend.PricerBackend` for the whole portfolio, as

@@ -589,8 +589,8 @@ class AdvanceEngine:
 
         The engine's one linear-advance entry point and the workhorse of
         the solver driver (:func:`repro.core.lockstep.drive_lockstep`):
-        scenario grids, implied-vol ladders and Greek bump grids vary
-        volatility/rate per cell, so every cell carries a *different*
+        scenario grids, Greek bump grids and coalesced service buckets
+        vary volatility/rate per cell, so every cell carries a *different*
         kernel.  Rows are grouped by padded FFT length, each group is
         stacked into one ``(G, n)`` array, multiplied row-wise by a stacked
         ``(G, n_rfft)`` kernel-spectrum block (cached whole — see

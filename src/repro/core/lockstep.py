@@ -3,7 +3,7 @@
 The trapezoid solvers are data-dependent: each linear advance's window
 depends on the divider the previous advance revealed, so one solve is an
 inherently *sequential* chain of advances.  Different solves, however, are
-independent — and a scenario grid, an implied-vol ladder or a coalesced
+independent — and a scenario grid, a Greek bump grid or a coalesced
 service bucket is exactly B such chains.  This module turns those B
 Python-level chains into a handful of wide vectorized transforms:
 

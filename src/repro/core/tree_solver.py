@@ -25,6 +25,11 @@ the divider moves by at most one), solves it with
        cells, whose values are closed-form).
     2. A recursive sub-trapezoid of height h over the last q*h red cells
        resolves the strip between hi_fft and the true mid divider j_mid.
+       Where continuation and exercise tie to float noise (deep-ITM dual
+       calls with zero dividend), the first-False divider scan can move
+       more than one column per row and land j_mid left of hi_fft; the
+       block is then not provably red, and the whole trapezoid descends
+       naively instead.
     3. The remaining h2 = ell - h rows are the same problem from the mid row
        — solved by a tail-recursive trapezoid call, which reproduces the
        paper's two-FFT + two-recursive-call structure when unrolled and the
@@ -266,13 +271,14 @@ class _TreeSolver:
             sub_vals, j_mid, ws_sub = yield from self.solve_trapezoid(
                 i_top, c0_sub, vals[c0_sub - c0 :], j_top, h, depth + 1
             )
-            # j_mid >= hi_fft is guaranteed (FFT block is provably red);
-            # merge FFT block [c0..hi_fft] with strip (hi_fft..j_mid].
             if j_mid < hi_fft:
-                raise AssertionError(
-                    "divider invariant violated: strip divider "
-                    f"{j_mid} < provably-red column {hi_fft}"
+                # a float-noise tie moved the divider into the FFT block,
+                # which is then not provably red (module docstring, step 2)
+                out_vals, j_bot, ws_naive = self.naive_descend(
+                    i_top, c0, vals, j_top, ell
                 )
+                return out_vals, j_bot, ws_fft.beside(ws_sub).then(ws_naive)
+            # merge FFT block [c0..hi_fft] with strip (hi_fft..j_mid].
             mid_vals = np.concatenate(
                 [y_fft, sub_vals[hi_fft + 1 - c0_sub :]]
             )

@@ -27,13 +27,19 @@ cost model.  This module spends analytic work to keep that count small:
    closer.  Bracket ends are discovered lazily (geometric expansion toward
    the vol floor/cap) so well-seeded quotes never pay for them.
 
-:func:`implied_vol_many` batches whole quote ladders: one shared
+Every step calls one memoised objective, ``f(v) = price - quote``, so
+revisiting an evaluated vol costs no solve.
+
+:func:`implied_vol_many` inverts whole quote ladders: one shared
 plan-caching :class:`~repro.core.fftstencil.AdvanceEngine` serves every
 solve, and each quote's root find is *warm-started* from its neighbour's
 fitted vol — adjacent strikes on one expiry differ by a few vol points, so
 the neighbour seed usually lands inside Newton's quadratic basin and the
-whole ladder converges in a couple of solves per quote
+whole ladder converges in about three solves per quote
 (``benchmarks/bench_implied.py`` measures the batch-vs-naive speedup).
+The chain is sequential because a quote can only start from a neighbour
+that is already fitted; pricing a ladder's evaluations in batched rounds
+instead costs more solves than the batching saves (docs/DESIGN.md §7.5).
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.core.api import price_american, price_many
+from repro.core.api import price_american
 from repro.core.fftstencil import DEFAULT_POLICY, AdvanceEngine, AdvancePolicy
 from repro.options.analytic import black_scholes, european_price, intrinsic_bounds
 from repro.options.contract import OptionSpec, Right, Style
@@ -56,7 +62,7 @@ from repro.util.validation import ValidationError, check_finite, check_integer
 VOL_MIN = 1e-4
 VOL_MAX = 5.0
 
-#: Newton iterations before the fast path yields to Brent.
+#: Newton iterations before the fast path hands over to Brent.
 NEWTON_MAX = 8
 
 #: Brent iterations cap (bisection alone halves the bracket each step, so
@@ -252,15 +258,14 @@ def _validate_quote(quote: float, spec: OptionSpec) -> None:
         )
 
 
-def _expand_bracket_gen(quote: float, known: dict[float, float]):
+def _expand_bracket(f: _Objective, known: dict[float, float]):
     """Find a sign change ``[a, b]`` from the evaluations made so far.
 
-    A generator (yields volatilities, receives residuals — see
-    :func:`_root_find_gen`): the innermost already-evaluated pair is used
-    when one exists; otherwise the bracket grows geometrically from the
-    evaluated frontier toward the vol floor/cap.  Running into the cap (or
-    floor) without a sign change means the quote sits outside the model's
-    attainable price range.
+    The innermost already-evaluated pair is used when one exists;
+    otherwise the bracket grows geometrically from the evaluated frontier
+    toward the vol floor/cap, evaluating ``f`` at each new end.  Running
+    into the cap (or floor) without a sign change means the quote sits
+    outside the model's attainable price range.
     """
     neg = {v: fv for v, fv in known.items() if fv < 0.0}
     pos = {v: fv for v, fv in known.items() if fv >= 0.0}
@@ -273,49 +278,49 @@ def _expand_bracket_gen(quote: float, known: dict[float, float]):
         v = min(pos)
         while v > VOL_MIN:
             v = max(v * 0.5, VOL_MIN)
-            fv = yield v
+            fv = f(v)
             if fv < 0.0:
                 b = min(pos)
                 return v, fv, b, pos[b]
             pos[v] = fv
         raise ValidationError(
-            f"quote {quote} is below the model price at the volatility "
+            f"quote {f.quote} is below the model price at the volatility "
             f"floor {VOL_MIN} — no volatility in [{VOL_MIN}, {VOL_MAX}] "
             "reproduces it"
         )
     # every evaluation undershot (or none yet): walk up toward the cap
     v = max(neg) if neg else 0.2
     if not neg:
-        fv = yield v
+        fv = f(v)
         (neg if fv < 0.0 else pos)[v] = fv
         if pos:
-            return (yield from _expand_bracket_gen(quote, {**neg, **pos}))
+            return _expand_bracket(f, {**neg, **pos})
     while v < VOL_MAX:
         v = min(v * 2.0, VOL_MAX)
-        fv = yield v
+        fv = f(v)
         if fv >= 0.0:
             a = max(neg)
             return a, neg[a], v, fv
         neg[v] = fv
     raise ValidationError(
-        f"quote {quote} is above the model price at the volatility cap "
+        f"quote {f.quote} is above the model price at the volatility cap "
         f"{VOL_MAX} — no volatility in [{VOL_MIN}, {VOL_MAX}] reproduces it"
     )
 
 
-def _brent_gen(
+def _brent(
+    f: _Objective,
     a: float,
     fa: float,
     b: float,
     fb: float,
     price_tol: float,
     vol_tol: float,
-):
+) -> tuple[float, float, int]:
     """Classic Brent (1973) on a sign-changing bracket; returns (v, f(v), iters).
 
-    A generator (yields volatilities, receives residuals).  Inverse-
-    quadratic interpolation when the three iterates cooperate, secant
-    otherwise, bisection whenever the interpolated step stalls — the
+    Inverse-quadratic interpolation when the three iterates cooperate,
+    secant otherwise, bisection whenever the interpolated step stalls — the
     guaranteed-convergence closer behind the Newton fast path.
     Hand-rolled rather than ``scipy.optimize.brentq`` because the exit
     criterion differs where it counts: every evaluation here is a full
@@ -357,137 +362,11 @@ def _brent_gen(
             d = e = xm
         a, fa = b, fb
         b = b + (d if abs(d) > tol1 else math.copysign(tol1, xm))
-        fb = yield b
+        fb = f(b)
         if (fb < 0.0) == (fc < 0.0):
             c, fc = a, fa
             d = e = b - a
     return b, fb, iters
-
-
-@dataclass(frozen=True)
-class _RootFind:
-    """What the root-find generator returns (driver adds solve accounting)."""
-
-    vol: float
-    residual: float
-    iterations: int
-    newton: bool
-    seed: float
-
-
-def _root_find_gen(
-    quote: float,
-    spec: OptionSpec,
-    *,
-    seed: Optional[float],
-    bracket: Optional[tuple[float, float]],
-    newton: bool,
-    deamericanize: bool,
-    price_tol: float,
-    vol_tol: float,
-):
-    """The inversion algorithm as a generator: yields vols, receives residuals.
-
-    Every ``fv = yield v`` asks the driver for ``f(v) = price(spec with
-    vol v) - quote``; the driver memoises, so re-yielding an evaluated vol
-    costs nothing.  Factoring the algorithm out of its objective lets one
-    code path serve both the serial driver (:func:`implied_vol`) and the
-    lockstep ladder driver (:func:`implied_vol_many` with
-    ``lockstep=True``), which answers a whole batch's outstanding yields
-    with one batched lattice solve per round.  Returns a :class:`_RootFind`
-    via ``StopIteration``.
-    """
-    hist: dict[float, float] = {}
-    if bracket is not None:
-        b_lo, b_hi = bracket
-        if not (VOL_MIN <= b_lo < b_hi <= VOL_MAX):
-            raise ValidationError(
-                f"bracket must satisfy {VOL_MIN} <= lo < hi <= {VOL_MAX}, "
-                f"got {bracket}"
-            )
-        hist[b_lo] = yield b_lo
-        hist[b_hi] = yield b_hi
-
-    if seed is not None:
-        v0 = min(max(float(seed), VOL_MIN), VOL_MAX)
-    else:
-        try:
-            v0 = european_implied_vol(quote, spec)
-        except ValidationError:
-            # quote outside the *European* range (deep ITM American trades
-            # below the discounted-parity floor of its European twin):
-            # start mid-domain and let the bracket machinery take over
-            v0 = 0.2
-        if deamericanize:
-            # one American solve at the European seed measures the
-            # early-exercise premium; re-inverting the premium-adjusted
-            # quote turns the European-equivalent vol into an
-            # American-equivalent one (and seeds the bracket for free)
-            f0 = yield v0
-            hist[v0] = f0
-            premium = (f0 + quote) - european_price(
-                dataclasses.replace(spec, volatility=v0)
-            )
-            lo_p, hi_p = _european_range(spec)
-            adjusted = quote - max(premium, 0.0)
-            if lo_p < adjusted < hi_p:
-                try:
-                    v0 = european_implied_vol(adjusted, spec)
-                except ValidationError:  # pragma: no cover — range-checked
-                    pass
-
-    iterations = 0
-    if newton:
-        v = v0
-        lo, hi = VOL_MIN, VOL_MAX
-        v_prev = f_prev = None
-        for _ in range(NEWTON_MAX):
-            iterations += 1
-            fv = yield v
-            hist[v] = fv
-            if abs(fv) <= price_tol:
-                return _RootFind(v, abs(fv), iterations, True, v0)
-            if fv < 0.0:
-                lo = max(lo, v)
-            else:
-                hi = min(hi, v)
-            # First step: analytic European vega (free, no solve).  After
-            # that: the secant through the last two *lattice* evaluations —
-            # at finite steps the lattice price's local vol-slope deviates
-            # a few percent from the smooth vega (node/strike alignment
-            # shifts with u = e^{v sqrt(dt)}), and that error caps Newton
-            # at slow linear convergence; the secant tracks the true slope.
-            slope = 0.0
-            if v_prev is not None and v != v_prev:
-                slope = (fv - f_prev) / (v - v_prev)
-            if not (slope > 1e-10):
-                slope = black_scholes(
-                    dataclasses.replace(spec, volatility=v)
-                ).vega
-            if slope <= 1e-10:
-                break  # flat objective: Newton is blind here
-            nxt = v - fv / slope
-            if not (lo < nxt < hi):
-                break  # step left the bracket: hand over to Brent
-            v_prev, f_prev = v, fv
-            if abs(nxt - v) <= vol_tol:
-                v = nxt
-                break
-            v = nxt
-
-    a, fa, b, fb = yield from _expand_bracket_gen(quote, dict(hist))
-    if abs(fa) <= price_tol:
-        v, fv = a, fa
-        brent_iters = 0
-    elif abs(fb) <= price_tol:
-        v, fv = b, fb
-        brent_iters = 0
-    else:
-        v, fv, brent_iters = yield from _brent_gen(
-            a, fa, b, fb, price_tol, vol_tol
-        )
-    yield v  # memoised: fixes the driver's last_price to the returned vol
-    return _RootFind(v, abs(fv), iterations + brent_iters, False, v0)
 
 
 def implied_vol(
@@ -553,21 +432,102 @@ def implied_vol(
         price_fn = _default_price_fn(
             spec, steps, model, method, base, lam, policy, engine
         )
-    f = _Objective(price_fn, quote)
-    gen = _root_find_gen(
-        quote, spec, seed=seed, bracket=bracket, newton=newton,
-        deamericanize=deamericanize, price_tol=price_tol, vol_tol=vol_tol,
-    )
-    try:
-        v = next(gen)
-        while True:
-            v = gen.send(f(v))
-    except StopIteration as stop:
-        rf: _RootFind = stop.value
+    f = _Objective(price_fn, quote)  # memoised: a re-evaluation is free
+    hist: dict[float, float] = {}
+    if bracket is not None:
+        b_lo, b_hi = bracket
+        if not (VOL_MIN <= b_lo < b_hi <= VOL_MAX):
+            raise ValidationError(
+                f"bracket must satisfy {VOL_MIN} <= lo < hi <= {VOL_MAX}, "
+                f"got {bracket}"
+            )
+        hist[b_lo] = f(b_lo)
+        hist[b_hi] = f(b_hi)
+
+    if seed is not None:
+        v0 = min(max(float(seed), VOL_MIN), VOL_MAX)
+    else:
+        try:
+            v0 = european_implied_vol(quote, spec)
+        except ValidationError:
+            # quote outside the *European* range (deep ITM American trades
+            # below the discounted-parity floor of its European twin):
+            # start mid-domain and let the bracket machinery take over
+            v0 = 0.2
+        if deamericanize:
+            # one American solve at the European seed measures the
+            # early-exercise premium; re-inverting the premium-adjusted
+            # quote turns the European-equivalent vol into an
+            # American-equivalent one (and seeds the bracket for free)
+            f0 = f(v0)
+            hist[v0] = f0
+            premium = (f0 + quote) - european_price(
+                dataclasses.replace(spec, volatility=v0)
+            )
+            lo_p, hi_p = _european_range(spec)
+            adjusted = quote - max(premium, 0.0)
+            if lo_p < adjusted < hi_p:
+                try:
+                    v0 = european_implied_vol(adjusted, spec)
+                except ValidationError:  # pragma: no cover — range-checked
+                    pass
+
+    iterations = 0
+    if newton:
+        v = v0
+        lo, hi = VOL_MIN, VOL_MAX
+        v_prev = f_prev = None
+        for _ in range(NEWTON_MAX):
+            iterations += 1
+            fv = f(v)
+            hist[v] = fv
+            if abs(fv) <= price_tol:
+                # the price is this last evaluation's, as solved
+                return ImpliedVolResult(
+                    vol=v, price=f.last_price, residual=abs(fv),
+                    iterations=iterations, solves=f.solves, newton=True,
+                    seed=v0, warm_start=seed is not None,
+                )
+            if fv < 0.0:
+                lo = max(lo, v)
+            else:
+                hi = min(hi, v)
+            # First step: analytic European vega (free, no solve).  After
+            # that: the secant through the last two *lattice* evaluations —
+            # at finite steps the lattice price's local vol-slope deviates
+            # a few percent from the smooth vega (node/strike alignment
+            # shifts with u = e^{v sqrt(dt)}), and that error caps Newton
+            # at slow linear convergence; the secant tracks the true slope.
+            slope = 0.0
+            if v_prev is not None and v != v_prev:
+                slope = (fv - f_prev) / (v - v_prev)
+            if not (slope > 1e-10):
+                slope = black_scholes(
+                    dataclasses.replace(spec, volatility=v)
+                ).vega
+            if slope <= 1e-10:
+                break  # flat objective: Newton is blind here
+            nxt = v - fv / slope
+            if not (lo < nxt < hi):
+                break  # step left the bracket: hand over to Brent
+            v_prev, f_prev = v, fv
+            if abs(nxt - v) <= vol_tol:
+                v = nxt
+                break
+            v = nxt
+
+    a, fa, b, fb = _expand_bracket(f, hist)
+    if abs(fa) <= price_tol:
+        v, fv, brent_iters = a, fa, 0
+    elif abs(fb) <= price_tol:
+        v, fv, brent_iters = b, fb, 0
+    else:
+        v, fv, brent_iters = _brent(f, a, fa, b, fb, price_tol, vol_tol)
+    f(v)  # memoised: fixes last_price to the returned vol
     return ImpliedVolResult(
-        vol=rf.vol, price=f.last_price, residual=rf.residual,
-        iterations=rf.iterations, solves=f.solves, newton=rf.newton,
-        seed=rf.seed, warm_start=seed is not None,
+        vol=v, price=f.last_price, residual=abs(fv),
+        iterations=iterations + brent_iters, solves=f.solves, newton=False,
+        seed=v0, warm_start=seed is not None,
     )
 
 
@@ -586,7 +546,6 @@ def implied_vol_many(
     newton: bool = True,
     deamericanize: bool = True,
     price_tol: Optional[float] = None,
-    lockstep: bool = False,
 ) -> FitReport:
     """Invert a whole quote ladder on one shared plan-caching engine.
 
@@ -608,22 +567,9 @@ def implied_vol_many(
     Sort ladders by strike before calling for the best warm-start locality
     (:func:`repro.market.calibrate.calibrate_surface` does).
 
-    ``lockstep=True`` trades the *sequential* warm-start chain for
-    *batched* objective evaluations: every quote runs its own root find
-    (European seed + de-Americanization, no neighbour seeding — the
-    neighbour's fit doesn't exist yet), and each round the whole ladder's
-    outstanding evaluations are priced by one :func:`repro.core.api.price_many`
-    call, which marches the B different-vol lattices through multi-kernel
-    ``advance_batch`` transforms.  Per-quote trajectories — and therefore
-    fitted vols, iteration and solve counts — match independent
-    ``implied_vol`` calls bit-for-bit (batched rows transform exactly as
-    standalone advances); total *solves* exceed the warm-started path's,
-    but arrive in ~`iterations` batched rounds instead of ~`3 B` sequential
-    lattice passes.  It is no faster than warm starts on one core: in
-    ``benchmarks/bench_batch.py``'s 64-quote T = 256 ladder, warm-start
-    wall over lockstep wall read 0.84–1.14 (median 0.95) on a 2-vCPU host.
-    Use it when each quote's trajectory must match an independent
-    :func:`implied_vol` call exactly.
+    Every quote is checked against the American price bounds before the
+    first solve, so a bad quote anywhere in the ladder costs no lattice
+    work.
     """
     if len(specs) != len(quotes):
         raise ValidationError(
@@ -631,14 +577,10 @@ def implied_vol_many(
             f"{len(quotes)} quotes"
         )
     steps = check_integer("steps", steps, minimum=1)
+    for spec, quote in zip(specs, quotes):
+        _validate_quote(check_finite("quote", quote), spec)
     if engine is None:
         engine = AdvanceEngine(policy)
-    if lockstep:
-        return _implied_vol_many_lockstep(
-            specs, quotes, steps, model=model, method=method, base=base,
-            lam=lam, policy=policy, engine=engine, newton=newton,
-            deamericanize=deamericanize, price_tol=price_tol,
-        )
     report = FitReport(
         meta={
             "steps": steps,
@@ -648,7 +590,6 @@ def implied_vol_many(
             "warm_start": warm_start,
             "newton": newton,
             "deamericanize": deamericanize,
-            "lockstep": False,
         }
     )
     # (log-strike, fitted vol) history of the current curve: one point
@@ -683,128 +624,4 @@ def implied_vol_many(
         report.results.append(result)
         curve.append((math.log(spec.strike), result.vol))
         prev_spec = spec
-    return report
-
-
-class _LadderState:
-    """One quote's in-flight root find inside the lockstep ladder driver."""
-
-    __slots__ = ("spec", "spec_am", "quote", "gen", "memo", "solves",
-                 "last_price", "pending", "outcome")
-
-    def __init__(self, spec: OptionSpec, quote: float, gen):
-        self.spec = spec
-        self.spec_am = spec.with_style(Style.AMERICAN)
-        self.quote = quote
-        self.gen = gen
-        self.memo: dict[float, float] = {}
-        self.solves = 0
-        self.last_price = math.nan
-        self.pending: Optional[float] = None  # vol awaiting a batched solve
-        self.outcome: Optional[_RootFind] = None
-
-    def resume(self, payload: Optional[float]) -> None:
-        """Advance the generator until it needs an unmemoised evaluation.
-
-        ``payload`` is the residual answering the previous yield (``None``
-        primes a fresh generator).  Memoised re-evaluations are answered
-        inline — only genuinely new vols become ``pending`` batch work.
-        """
-        try:
-            v = next(self.gen) if payload is None else self.gen.send(payload)
-            while v in self.memo:
-                fv = self.memo[v]
-                self.last_price = fv + self.quote
-                v = self.gen.send(fv)
-            self.pending = v
-        except StopIteration as stop:
-            self.pending = None
-            self.outcome = stop.value
-
-
-def _implied_vol_many_lockstep(
-    specs: Sequence[OptionSpec],
-    quotes: Sequence[float],
-    steps: int,
-    *,
-    model: str,
-    method: str,
-    base: Optional[int],
-    lam: Optional[float],
-    policy: AdvancePolicy,
-    engine: AdvanceEngine,
-    newton: bool,
-    deamericanize: bool,
-    price_tol: Optional[float],
-) -> FitReport:
-    """Batched ladder inversion: every root-find sweep is one lattice batch.
-
-    Each quote runs the exact :func:`implied_vol` algorithm (as the shared
-    :func:`_root_find_gen`), but instead of solving its objective
-    evaluations one Python call at a time, the driver collects the single
-    evaluation every unfinished quote is blocked on and prices them all
-    with one :func:`repro.core.api.price_many` call — which marches the
-    different-vol lattices in lockstep through multi-kernel
-    ``advance_batch`` transforms on the shared ``engine``.  Quotes finish
-    at their own pace; the batch narrows as they do.
-    """
-    for quote, spec in zip(quotes, specs):
-        check_finite("quote", quote)
-        _validate_quote(quote, spec)
-    states = []
-    for spec, quote in zip(specs, quotes):
-        gen = _root_find_gen(
-            quote, spec, seed=None, bracket=None, newton=newton,
-            deamericanize=deamericanize,
-            price_tol=1e-9 * spec.strike if price_tol is None else price_tol,
-            vol_tol=1e-12,
-        )
-        states.append(_LadderState(spec, quote, gen))
-    for st in states:
-        st.resume(None)
-
-    rounds = 0
-    while True:
-        live = [st for st in states if st.pending is not None]
-        if not live:
-            break
-        rounds += 1
-        batch = [
-            dataclasses.replace(st.spec_am, volatility=st.pending)
-            for st in live
-        ]
-        results = price_many(
-            batch, steps, model=model, method=method, base=base, lam=lam,
-            policy=policy, engine=engine,
-        )
-        for st, result in zip(live, results):
-            v = st.pending
-            st.solves += 1
-            st.last_price = result.price
-            fv = result.price - st.quote
-            st.memo[v] = fv
-            st.resume(fv)
-
-    report = FitReport(
-        meta={
-            "steps": steps,
-            "model": model,
-            "method": method,
-            "n_quotes": len(quotes),
-            "warm_start": False,
-            "newton": newton,
-            "deamericanize": deamericanize,
-            "lockstep": True,
-            "rounds": rounds,
-        }
-    )
-    for st in states:
-        rf = st.outcome
-        report.results.append(
-            ImpliedVolResult(
-                vol=rf.vol, price=st.last_price, residual=rf.residual,
-                iterations=rf.iterations, solves=st.solves, newton=rf.newton,
-                seed=rf.seed, warm_start=False,
-            )
-        )
     return report

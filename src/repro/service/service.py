@@ -89,6 +89,17 @@ from repro.service.canonical import (
 )
 from repro.util.validation import ValidationError, check_integer
 
+#: Serving counters by the :meth:`QuoteService.stats` section that reports
+#: them; the registry collector exports all of them under the same names.
+_SERVICE_COUNTERS = (
+    "quotes", "solves", "batches", "batched_requests", "max_batch",
+    "merged_requests", "boundary_upgrades", "overloads", "fast_quotes",
+    "tier_upgrades",
+)
+_RESILIENCE_COUNTERS = (
+    "stale_quotes", "refreshes", "deadline_misses", "degraded_spectral",
+)
+
 
 class ServiceOverloadedError(RuntimeError):
     """Raised by a non-blocking submit when the pending queue is full.
@@ -362,20 +373,11 @@ class QuoteService:
         self._queue: list[_Pending] = []
         self._inflight: dict[tuple, _Pending] = {}
         self._breakers: dict[tuple, CircuitBreaker] = {}
-        self._quotes = 0
-        self._solves = 0
-        self._batches = 0
-        self._batched_requests = 0
-        self._max_batch = 0
-        self._merged = 0
-        self._boundary_upgrades = 0
-        self._overloads = 0
-        self._stale_quotes = 0
-        self._refreshes = 0
-        self._deadline_misses = 0
-        self._fast_quotes = 0
-        self._tier_upgrades = 0
-        self._degraded_spectral = 0
+        #: serving counters: :meth:`stats` and the registry collector
+        #: both read this one dict
+        self._counts = dict.fromkeys(
+            _SERVICE_COUNTERS + _RESILIENCE_COUNTERS, 0
+        )
         self._h_quote_lat: dict = {}
         self._h_tier_lat: dict = {}
         self.exemplar_k = check_integer("exemplars", exemplars, minimum=0)
@@ -398,22 +400,9 @@ class QuoteService:
         the richer :meth:`stats` nesting stays the human surface)."""
         with self._lock:
             return {
-                "quotes": self._quotes,
-                "solves": self._solves,
-                "batches": self._batches,
-                "batched_requests": self._batched_requests,
-                "max_batch": self._max_batch,
-                "merged_requests": self._merged,
-                "boundary_upgrades": self._boundary_upgrades,
-                "overloads": self._overloads,
-                "queue_depth": len(self._queue),
+                **self._counts,
+                "pending": len(self._queue),
                 "inflight": len(self._inflight),
-                "stale_quotes": self._stale_quotes,
-                "refreshes": self._refreshes,
-                "deadline_misses": self._deadline_misses,
-                "fast_quotes": self._fast_quotes,
-                "tier_upgrades": self._tier_upgrades,
-                "degraded_spectral": self._degraded_spectral,
             }
 
     def _quote_hist(self, outcome: str):
@@ -532,11 +521,13 @@ class QuoteService:
                     if deadline is not None:
                         self._engine.checkpoint = None
         with self._lock:
-            self._solves += len(specs)
+            self._counts["solves"] += len(specs)
             if len(specs) > 1:
-                self._batches += 1
-                self._batched_requests += len(specs)
-                self._max_batch = max(self._max_batch, len(specs))
+                self._counts["batches"] += 1
+                self._counts["batched_requests"] += len(specs)
+                self._counts["max_batch"] = max(
+                    self._counts["max_batch"], len(specs)
+                )
         return results
 
     # ------------------------------------------------------------------ #
@@ -599,7 +590,7 @@ class QuoteService:
             return None
         self._enqueue_refresh(req)
         with self._lock:
-            self._stale_quotes += 1
+            self._counts["stale_quotes"] += 1
         if self.telemetry is not None:
             self.telemetry.emit("stale_serve", reason=reason)
         out = canonical.scaled(1.0)
@@ -628,9 +619,9 @@ class QuoteService:
             self._inflight[req.key] = pending
             self._queue.append(pending)
             if upgrade:
-                self._tier_upgrades += 1
+                self._counts["tier_upgrades"] += 1
             else:
-                self._refreshes += 1
+                self._counts["refreshes"] += 1
         if upgrade and self.telemetry is not None:
             self.telemetry.emit(
                 "tier_upgrade",
@@ -665,7 +656,7 @@ class QuoteService:
         """
         if isinstance(refusal, DeadlineExceeded):
             with self._lock:
-                self._deadline_misses += 1
+                self._counts["deadline_misses"] += 1
         reason = (
             "breaker_open" if isinstance(refusal, CircuitOpenError)
             else "deadline"
@@ -727,15 +718,15 @@ class QuoteService:
         cached = self.cache.get(fkey)
         if cached is not None:
             with self._lock:
-                self._quotes += 1
-                self._fast_quotes += 1
+                self._counts["quotes"] += 1
+                self._counts["fast_quotes"] += 1
             out = _tagged(cached, req, "hit")
         else:
             result = self._solve_spectral(req)
             self.cache.put(fkey, result)
             with self._lock:
-                self._quotes += 1
-                self._fast_quotes += 1
+                self._counts["quotes"] += 1
+                self._counts["fast_quotes"] += 1
             out = _tagged(result, req, "miss")
         out.meta["tier"] = "fast"
         out.meta.setdefault("tolerance", self._spectral().tolerance)
@@ -770,7 +761,7 @@ class QuoteService:
         result.meta["tier"] = "fast"
         result.meta.setdefault("tolerance", self._spectral().tolerance)
         with self._lock:
-            self._degraded_spectral += 1
+            self._counts["degraded_spectral"] += 1
         self._enqueue_refresh(req)
         if self.telemetry is not None:
             self.telemetry.emit(
@@ -981,7 +972,7 @@ class QuoteService:
             not wants_boundary or cached.boundary is not None
         ):
             with self._lock:
-                self._quotes += 1
+                self._counts["quotes"] += 1
             out = _tagged(cached, req, "hit")
             if auto:
                 out.meta["tier"] = "exact"
@@ -1001,7 +992,7 @@ class QuoteService:
         if cached is not None and tag == "miss":
             # this call's own solve re-recorded a divider-less entry
             with self._lock:
-                self._boundary_upgrades += 1
+                self._counts["boundary_upgrades"] += 1
         return _tagged(result, req, tag)
 
     def _serve(
@@ -1030,7 +1021,7 @@ class QuoteService:
         tag) or the key's exception}``.
         """
         with self._lock:
-            self._quotes += len(reqs)
+            self._counts["quotes"] += len(reqs)
         outcomes: dict = {}
         hits: dict = {}
         cold: list[CanonicalRequest] = []
@@ -1078,13 +1069,15 @@ class QuoteService:
                         mine.append((req, pending, "miss"))
                     else:
                         rides.append((req, pending, "merged"))
-                        self._merged += 1
+                        self._counts["merged_requests"] += 1
                     continue
-                if pending.deadline is None:
-                    pending.deadline = deadline  # our budget bounds it too
+                # our budget bounds it too: the tightest wins
+                pending.deadline = effective_deadline(
+                    [pending.deadline, deadline]
+                )
                 pending.boundary = boundary
                 mine.append((req, pending, "merged"))
-                self._merged += 1
+                self._counts["merged_requests"] += 1
         solving = [pending for _, pending, _ in mine]
         try:
             self._resolve_pendings(solving)
@@ -1170,7 +1163,7 @@ class QuoteService:
         if first_error is not None:
             raise first_error
         with self._lock:
-            self._merged += merged
+            self._counts["merged_requests"] += merged
         return out
 
     def implied_vol(
@@ -1258,22 +1251,23 @@ class QuoteService:
             with self._lock:
                 cached = self.cache.get(req.key)
                 if cached is not None:
-                    self._quotes += 1
+                    self._counts["quotes"] += 1
                     tag = "hit"
                 elif (pending := self._inflight.get(req.key)) is not None:
-                    self._quotes += 1
-                    self._merged += 1
-                    if deadline is not None and pending.deadline is None:
-                        pending.deadline = deadline
+                    self._counts["quotes"] += 1
+                    self._counts["merged_requests"] += 1
+                    pending.deadline = effective_deadline(
+                        [pending.deadline, deadline]
+                    )
                     tag = "merged"
                 elif len(self._queue) < self.max_pending:
                     pending = _Pending(req, deadline=deadline)
                     self._inflight[req.key] = pending
                     self._queue.append(pending)
-                    self._quotes += 1
+                    self._counts["quotes"] += 1
                     tag = "miss"
                 else:
-                    self._overloads += 1
+                    self._counts["overloads"] += 1
                     if not block:
                         raise ServiceOverloadedError(
                             f"pending queue full ({self.max_pending} solves "
@@ -1468,27 +1462,15 @@ class QuoteService:
             out = {
                 "cache": self.cache.stats(),
                 "service": {
-                    "quotes": self._quotes,
-                    "solves": self._solves,
-                    "batches": self._batches,
-                    "batched_requests": self._batched_requests,
-                    "max_batch": self._max_batch,
-                    "merged_requests": self._merged,
-                    "boundary_upgrades": self._boundary_upgrades,
-                    "overloads": self._overloads,
+                    **{k: self._counts[k] for k in _SERVICE_COUNTERS},
                     "pending": len(self._queue),
                     "max_pending": self.max_pending,
                     "workers": self.workers,
                     "backend": self.backend if self.workers > 1 else "serial",
-                    "fast_quotes": self._fast_quotes,
-                    "tier_upgrades": self._tier_upgrades,
                 },
                 "resilience": {
                     "breakers": breakers,
-                    "stale_quotes": self._stale_quotes,
-                    "refreshes": self._refreshes,
-                    "deadline_misses": self._deadline_misses,
-                    "degraded_spectral": self._degraded_spectral,
+                    **{k: self._counts[k] for k in _RESILIENCE_COUNTERS},
                 },
             }
         if self.telemetry is not None:
@@ -1534,8 +1516,8 @@ class QuoteService:
             "inflight": inflight,
             "cache_hit_ratio": cache["hit_ratio"],
             "cache_size": cache["size"],
-            "stale_quotes": self._stale_quotes,
-            "degraded_spectral": self._degraded_spectral,
+            "stale_quotes": self._counts["stale_quotes"],
+            "degraded_spectral": self._counts["degraded_spectral"],
             "journal_dropped": (
                 self.telemetry.journal.dropped
                 if self.telemetry is not None

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+from repro.core.api import price_american
 from repro.core.fftstencil import AdvancePolicy
 from repro.core.tree_solver import solve_tree_fft
 from repro.lattice.binomial import price_binomial
@@ -195,6 +196,32 @@ class TestDividerExit:
         solver = self._solver()
         solver.naive_descend(4, 10, np.zeros(1, dtype=np.float64), 10, 3)
         assert solver.stats.base_rows == 3  # all rows accounted, none computed
+
+
+class TestTieFallback:
+    """Zero-rate trinomial puts whose dual calls tie continuation and
+    exercise to float noise deep in the money: the strip divider lands
+    left of the FFT block, and the trapezoid descends naively."""
+
+    @pytest.mark.parametrize(
+        "T, strike, vol, days",
+        [
+            (64, 100.0, 0.6000000000006793, 90.0),
+            (256, 110.0, 0.7191255355332542, 90.0),
+            (64, 100.0, 0.7343883924376098, 252.0),
+            (256, 120.0, 1.1298191096316472, 30.0),
+            (128, 120.0, 0.8895063154854732, 730.0),
+            (256, 100.0, 0.34141584580711076, 730.0),
+        ],
+    )
+    def test_matches_loop(self, T, strike, vol, days):
+        spec = OptionSpec(
+            spot=100.0, strike=strike, rate=0.0, volatility=vol,
+            dividend_yield=0.0, expiry_days=days, right=Right.PUT,
+        )
+        fft = price_american(spec, T, model="trinomial").price
+        loop = price_american(spec, T, model="trinomial", method="loop").price
+        assert abs(fft - loop) <= 1e-12 * strike
 
 
 class TestErrors:

@@ -202,6 +202,16 @@ class TestImpliedVolMany:
         implied_vol_many(specs, quotes, STEPS, engine=engine)
         assert engine.cache_info()["advances"] > 0
 
+    def test_bad_quote_rejected_before_any_solve(self):
+        specs, quotes = self.ladder(3)
+        for bad in (specs[1].spot * 2.0, float("nan")):  # above range, NaN
+            engine = AdvanceEngine()
+            with pytest.raises(ValidationError):
+                implied_vol_many(
+                    specs, [quotes[0], bad, quotes[2]], STEPS, engine=engine
+                )
+            assert engine.cache_info()["advances"] == 0
+
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValidationError, match="pair up"):
             implied_vol_many([SPEC], [1.0, 2.0], STEPS)

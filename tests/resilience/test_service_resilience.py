@@ -117,6 +117,20 @@ class TestDeadlines:
         with pytest.raises(DeadlineExceeded):
             ticket.result()
 
+    @pytest.mark.parametrize("budgets", [(100.0, 0.0), (0.0, 100.0)])
+    def test_merged_submits_keep_the_tightest_budget(self, fake_clock, budgets):
+        svc = QuoteService(clock=fake_clock)
+        tickets = [
+            svc.submit(SPEC, 96, deadline=Deadline(b, clock=fake_clock))
+            for b in budgets
+        ]
+        assert svc.pending == 1  # the second submit merged onto the first
+        with pytest.raises(DeadlineExceeded):
+            svc.flush()
+        for ticket in tickets:
+            with pytest.raises(DeadlineExceeded):
+                ticket.result()
+
 
 class TestDeadlineMidSolve:
     """A deadline that expires *during* a lattice solve, observed by the
@@ -158,6 +172,16 @@ class TestDeadlineMidSolve:
         assert svc._engine.cache_info()["checkpoints"] == 3
         assert len(svc.cache) == 1  # only the warm key
         assert svc.stats()["service"]["max_batch"] == 0  # no bucket finished
+
+    def test_quote_merging_a_generous_submit_keeps_its_budget(self):
+        svc = QuoteService()
+        clock = self.checkpoint_clock(svc)
+        ticket = svc.submit(SPEC, 96, deadline=Deadline(1000.0, clock=clock))
+        with pytest.raises(DeadlineExceeded):
+            svc.quote(SPEC, 96, deadline=Deadline(3.0, clock=clock))
+        assert svc._engine.cache_info()["checkpoints"] == 3
+        with pytest.raises(DeadlineExceeded):
+            ticket.result()  # merged: the tighter budget bounded its solve
 
     def test_boundary_quote_raises_mid_solve(self):
         svc = QuoteService(breaker=BreakerPolicy(failure_threshold=5))

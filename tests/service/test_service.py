@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from repro.core.api import price_american, price_european, price_many
+from repro.obs import Telemetry
 from repro.options.contract import Right, Style, paper_benchmark_spec
+from repro.resilience import Deadline
 from repro.service import (
     CanonicalPolicy,
     QuoteCache,
@@ -503,6 +505,33 @@ class TestStats:
             "max_pending", "workers", "backend",
         ):
             assert key in stats["service"]
+
+    def test_counters_equal_the_registry_collector(self):
+        clock = FakeClock()
+        tel = Telemetry()
+        svc = QuoteService(
+            max_pending=1, ttl=10.0, stale_grace=60.0, clock=clock,
+            telemetry=tel,
+        )
+        a, b, c = strikes(3)
+        svc.quote(a, 64)
+        assert svc.quote(a, 64).meta["cache"] == "hit"
+        svc.submit(b, 64)
+        svc.submit(b, 64)  # merges onto the queued solve
+        with pytest.raises(ServiceOverloadedError):
+            svc.submit(c, 64, block=False)
+        clock.advance(20.0)  # a's entry expired, inside the grace
+        stale = svc.quote(a, 64, deadline=Deadline(0.0, clock=clock))
+        assert stale.meta["cache"] == "stale"
+        stats = svc.stats()
+        reported = {**stats["service"], **stats["resilience"]}
+        for key in ("max_pending", "workers", "backend", "breakers"):
+            del reported[key]  # configuration, not counters
+        collected = tel.snapshot()["collected"]
+        for name, value in reported.items():
+            assert collected[f"service_{name}"] == value, name
+        for name in ("merged_requests", "overloads", "stale_quotes"):
+            assert reported[name] > 0, name
 
     def test_injected_cache(self):
         cache = QuoteCache(maxsize=2, clock=FakeClock())
