@@ -107,9 +107,6 @@ def bench_american_grid(n_cells: int, steps: int, repeats: int) -> dict:
         for a, b, s in zip(serial_results, batch_result.results, specs)
     )
     info = batch_result.meta["engine"]
-    serial_engine = AdvanceEngine()
-    for s in specs[: min(8, n_cells)]:
-        price_american(s, steps, engine=serial_engine)
     return {
         "n_cells": n_cells,
         "steps": steps,

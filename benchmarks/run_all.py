@@ -7,7 +7,7 @@ every ``BENCH_*.json`` it produced against the shared schema
 trajectory row, and appends it to ``BENCH_TRAJECTORY.jsonl``
 (:mod:`trajectory`).  Also exports the observability artifacts CI
 uploads: the bench run's own Perfetto trace
-(``results/run_all_trace.json``).
+(``results/run_all_trace.json`` under ``--out-dir``).
 
 Usage::
 
@@ -166,7 +166,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--out-dir", default=REPO_ROOT,
-        help="directory for the BENCH_*.json artifacts (default: repo root)",
+        help="directory for the BENCH_*.json artifacts and "
+        "results/run_all_trace.json (default: repo root)",
     )
     parser.add_argument(
         "--trajectory", default=TRAJECTORY_PATH,
@@ -189,12 +190,8 @@ def main(argv=None) -> int:
         help="re-measuring an already-recorded commit+mode replaces its "
         "trajectory row instead of being skipped",
     )
-    parser.add_argument(
-        "--trace-out",
-        default=os.path.join(REPO_ROOT, "results", "run_all_trace.json"),
-        help="Perfetto trace artifact for the suite run",
-    )
     args = parser.parse_args(argv)
+    trace_out = os.path.join(args.out_dir, "results", "run_all_trace.json")
 
     reports, failures = run_suite(smoke=args.smoke, out_dir=args.out_dir)
     row = build_row(reports, smoke=args.smoke)
@@ -217,9 +214,9 @@ def main(argv=None) -> int:
             f"[run_all] appended row {len(history) + 1} to {args.trajectory}"
         )
 
-    os.makedirs(os.path.dirname(args.trace_out), exist_ok=True)
-    export_suite_trace(reports, args.trace_out)
-    print(f"[run_all] wrote {args.trace_out}")
+    os.makedirs(os.path.dirname(trace_out), exist_ok=True)
+    export_suite_trace(reports, trace_out)
+    print(f"[run_all] wrote {trace_out}")
 
     status = 0
     if failures:

@@ -51,18 +51,6 @@ def _checkpoints(rows: Sequence[int]) -> list[int]:
     return checkpoints
 
 
-def _jump_jobs(T: int, q: int, checkpoints: Sequence[int]) -> list[tuple[int, int]]:
-    # Full plans are known statically: each jump advances the full row at
-    # `prev` (width q*prev + 1) down by the checkpoint gap.
-    jobs = []
-    prev = T
-    for row in checkpoints:
-        if prev - row > 0:
-            jobs.append((prev - row, q * prev + 1))
-        prev = row
-    return jobs
-
-
 def _bermudan_gen(params: TreeParams, rows: list[int]):
     """Generator body of one Bermudan/European jump-chain solve.
 
@@ -125,8 +113,7 @@ def price_tree_bermudan_fft(
     Works for calls and puts — without the American free boundary there is
     no divider orientation to respect.  Pass a shared ``engine`` to reuse
     kernel spectra across a batch of same-parameter contracts (e.g. a strip
-    of strikes); the checkpoint gap heights are known up front and are
-    prepared on entry.
+    of strikes).
     """
     return price_tree_bermudan_fft_batch(
         [params], [exercise_steps], policy=policy, engine=engine
@@ -160,12 +147,10 @@ def price_tree_bermudan_fft_batch(
         schedules = [es] * len(params_list)
     if engine is None:
         engine = AdvanceEngine(policy)
-    gens = []
-    for params, sched in zip(params_list, schedules):
-        rows = _validated_rows(params.steps, sched)
-        q = len(params.taps) - 1
-        engine.prepare(params.taps, _jump_jobs(params.steps, q, _checkpoints(rows)))
-        gens.append(_bermudan_gen(params, rows))
+    gens = [
+        _bermudan_gen(params, _validated_rows(params.steps, sched))
+        for params, sched in zip(params_list, schedules)
+    ]
     results: list[TreeFFTResult] = drive_lockstep(gens, engine)
     for result in results:
         result.meta["batched"] = True

@@ -10,12 +10,13 @@ where ``A`` is the one-step stencil operator and ``W`` the h-step kernel from
 :mod:`repro.core.weights`.  The result covers exactly the cells whose full
 dependency cone lies inside ``x`` (output length ``len(x) - q*h``).
 
-Plan caching (docs/DESIGN.md §3): the trapezoid decomposition requests the
+Kernel caching (docs/DESIGN.md §3): the trapezoid decomposition requests the
 same ``(taps, h)`` kernels at every recursion level — hundreds of
 identical-shape advances per solve — so :class:`AdvanceEngine` amortises the
-kernel's forward transform across reuses (as [1] does): it caches the
-*conjugated rFFT of the kernel* keyed by ``(taps, h, padded_n)``, memoises
-``next_fast_len`` pad sizes, and reuses zero-padded scratch buffers.  A warm
+kernel and its forward transform across reuses (as [1] does).  One cache
+per engine holds the h-step kernel keyed by ``(taps, h)`` and its
+*conjugated rFFT* keyed by ``(taps, h, padded_n)`` under one byte budget,
+and one growable staging buffer holds the zero-padded input.  A warm
 advance is then one forward rFFT of ``x``, one pointwise multiply, one
 inverse — versus a stateless FFT convolution's three transforms of a larger
 padded length plus a reversed-kernel copy.
@@ -23,8 +24,8 @@ padded length plus a reversed-kernel copy.
 :meth:`AdvanceEngine.advance_batch` is the one linear-advance entry point:
 B inputs, each with its own kernel — the lockstep solver driver's
 workhorse (docs/DESIGN.md §7).  Rows group by padded length, multiply
-row-wise by a cached stacked kernel-spectrum block, and transform in one
-batched pair, with per-row robustness decisions and per-row accounting; a
+row-wise by their cached kernel spectra, and transform in one batched
+pair, with per-row robustness decisions and per-row accounting; a
 one-row call (every advance of a lone solve) skips the grouping.
 :meth:`AdvanceEngine.advance` is that one-row call.  The engine serves
 linear advances only: the solvers' naive base-case rows run inline, one
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, Literal, Optional, Sequence, Tuple
+from typing import Callable, Literal, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import fft as sfft
@@ -87,17 +88,10 @@ class AdvancePolicy:
 
 DEFAULT_POLICY = AdvancePolicy()
 
-#: Spectrum blocks larger than this many complex elements (32 MiB) are
-#: assembled but not cached — rebuilding one from the per-row spectrum
-#: cache is cheap, while a handful of resident giant blocks is not.
-MAX_BLOCK_ELEMENTS = 1 << 21
-
-#: Soft byte budget for the kernel-spectrum cache.  ``advance_batch``
-#: scales the entry bound with the batch width (B interleaved solves need
-#: ~B x log T live spectra to keep per-solve repeats warm), so a byte
-#: bound — not just an entry count — keeps wide batches of long kernels
-#: from pinning unbounded memory.
-MAX_SPECTRA_BYTES = 64 * (1 << 20)
+#: Byte budget of an engine's cache of kernels and kernel spectra: past
+#: it the oldest entries are evicted.  A lone solve stays far below it;
+#: only a long-lived engine shared across many solves reaches it.
+MAX_CACHE_BYTES = 64 * (1 << 20)
 
 #: Longest kernel the stacked direct path may serve with the broadcast
 #: multiply-accumulate.  ``np.correlate`` accumulates left-to-right (the
@@ -114,27 +108,20 @@ _F64 = np.dtype(np.float64)
 class AdvanceRecord:
     """Bookkeeping for one advance call (aggregated into solver stats).
 
-    ``spectrum_hit`` is ``True``/``False`` when the engine's kernel-spectrum
-    cache was consulted (hit/miss), ``None`` on paths that never touch it
-    (direct correlation, h=0 copies, and batch rows served from a cached
-    *spectrum block* — the block counters cover those).  For batched
-    records it is ``True`` only when every consulted row hit.
+    ``spectrum_hit`` is ``True``/``False`` when the engine's cache was
+    consulted for the row's kernel spectrum (hit/miss), ``None`` on paths
+    that never consult it (direct correlation, h=0 copies, and batch rows
+    that share an earlier row's kernel).  For batched records it is
+    ``True`` only when every consulted row hit.
     ``spectrum_hits``/``spectrum_misses`` carry the exact per-call counts
     (:meth:`AdvanceEngine.advance_batch` consults the cache once per
-    *distinct* per-row kernel).  ``batch`` counts the inputs a single
-    batched transform carried (1 for a one-row advance).  ``method`` is
-    ``"mixed"`` when a batch's rows resolved to different methods.
-
-    Batched calls additionally report:
-
-    ``block_hits`` / ``block_misses``
-        consultations of the stacked spectrum-*block* cache (one per FFT
-        group of an :meth:`AdvanceEngine.advance_batch` call);
-    ``rows``
-        per-input sub-records, in input order — each row mirrors exactly
-        what a standalone :meth:`AdvanceEngine.advance` of that input would
-        have recorded (method, lengths, work/span share), so per-solve
-        statistics stay truthful under lockstep batching.
+    *distinct* per-row kernel in an FFT group).  ``batch`` counts the
+    inputs a single batched transform carried (1 for a one-row advance).
+    ``method`` is ``"mixed"`` when a batch's rows resolved to different
+    methods.  ``rows`` holds per-input sub-records, in input order — each
+    row mirrors exactly what a standalone :meth:`AdvanceEngine.advance` of
+    that input would have recorded (method, lengths, work/span share), so
+    per-solve statistics stay truthful under lockstep batching.
     """
 
     method: str
@@ -145,8 +132,6 @@ class AdvanceRecord:
     spectrum_hits: int = 0
     spectrum_misses: int = 0
     batch: int = 1
-    block_hits: int = 0
-    block_misses: int = 0
     rows: Optional[list["AdvanceRecord"]] = None
 
 
@@ -166,19 +151,20 @@ row_correlate = _direct_correlate
 
 
 class AdvanceEngine:
-    """Stateful, plan-caching multi-step advance (docs/DESIGN.md §3).
+    """Stateful, kernel-caching multi-step advance (docs/DESIGN.md §3).
 
     Each solve runs on one engine — a fresh one per solve, or one shared
     across a batch of solves (:func:`repro.core.api.price_many`).  The
-    engine caches, across calls:
+    engine keeps, across calls:
 
-    * the conjugated kernel spectrum ``conj(rfft(W, n))`` keyed by
-      ``(taps, h, n)`` — one forward kernel transform per distinct shape,
-      however many advances reuse it;
-    * memoised ``next_fast_len`` pad sizes (one lookup per distinct input
-      length, i.e. per recursion level);
-    * zero-padded scratch buffers keyed by pad size, so warm advances do not
-      allocate the padded input.
+    * one cache of read-only arrays: the h-step kernel ``W`` keyed by
+      ``(taps, h)`` and its conjugated spectrum ``conj(rfft(W, n))`` keyed
+      by ``(taps, h, n)`` — one kernel evaluation and one forward kernel
+      transform per distinct shape, however many advances reuse it.  The
+      oldest entries are evicted once the cache holds more than
+      :data:`MAX_CACHE_BYTES`;
+    * one growable staging buffer: the one-row FFT pad and the ragged
+      direct stack are views of it, so warm advances do not allocate them.
 
     Correlation uses the conjugate trick: ``irfft(rfft(x, n) * conj(rfft(W,
     n)))[c] = sum_k W_k x_{c+k}`` for ``c <= len(x) - len(W)`` whenever
@@ -187,64 +173,35 @@ class AdvanceEngine:
     convolution's ``next_fast_len(len(x) + len(W) - 1)`` — and no
     reversed-kernel copy is ever made.
 
-    An engine is **not thread-safe** (the scratch buffers are shared across
-    its calls); use one engine per solve/thread.  The module-level
-    :func:`advance` wrapper keeps one default engine per thread.
+    An engine is **not thread-safe** (its cache, staging buffer and
+    counters update without a lock); use one engine per solve/thread.  The
+    module-level :func:`advance` wrapper keeps one default engine per
+    thread.
 
     Parameters
     ----------
     policy:
         FFT-vs-direct robustness policy applied per row.
-    max_spectra / max_scratch / max_blocks:
-        Bounds on the caches (oldest-first eviction); a single solve stays
-        far below them, the defaults only matter for long-lived shared
-        engines.  ``max_blocks`` bounds the stacked spectrum-*block* cache
-        of :meth:`advance_batch` — blocks are ``(B, n_rfft)`` complex
-        arrays, much larger than single spectra, so the bound is tight.
     """
 
-    def __init__(
-        self,
-        policy: AdvancePolicy = DEFAULT_POLICY,
-        *,
-        max_spectra: int = 512,
-        max_scratch: int = 64,
-        max_blocks: int = 16,
-        max_weights: int = 4096,
-    ):
+    def __init__(self, policy: AdvancePolicy = DEFAULT_POLICY):
         self.policy = policy
-        self.max_spectra = max_spectra
-        self.max_scratch = max_scratch
-        self.max_blocks = max_blocks
-        self.max_weights = max_weights
         #: Optional zero-arg cooperative-interrupt hook, invoked at every
         #: advance entry (see :meth:`_tick`).  The resilience tier binds a
         #: deadline here (``engine.checkpoint = deadline.checkpoint``) so a
         #: long *serial* solve — which nothing can preempt — observes its
         #: budget within one advance and aborts by raising from the hook.
         self.checkpoint: Optional[Callable[[], None]] = None
-        self._spectra: dict[tuple, np.ndarray] = {}
-        self._spectra_bytes = 0
-        self._scratch: dict[int, np.ndarray] = {}
-        self._fast_len: dict[int, int] = {}
-        self._weights: dict[tuple, np.ndarray] = {}
-        self._blocks: dict[tuple, np.ndarray] = {}
-        # shared arange and ragged-stack scratch for advance_batch's
-        # scatters (views of growable buffers replace one np.arange /
-        # np.zeros per group per round)
-        self._ar: Optional[np.ndarray] = None
-        self._xscratch: Optional[np.ndarray] = None
-        # Block keys seen exactly once: a block is only materialised (rows
-        # stacked into one array) when its key *recurs* — one-shot batch
-        # shapes (a heterogeneous grid priced once) never pay the copies.
-        self._block_seen: dict[tuple, None] = {}
+        # kernels keyed (taps, h) and spectra keyed (taps, h, n), read-only,
+        # in insertion order (the oldest is evicted first)
+        self._cache: dict[tuple, np.ndarray] = {}
+        self._cache_bytes = 0
+        self._stage = np.zeros(0)
         # Counters (exposed through SolveStats / cache_info for benchmarks).
         self.spectrum_hits = 0
         self.spectrum_misses = 0
         self.advances = 0
         self.batched_inputs = 0
-        self.block_hits = 0
-        self.block_misses = 0
         self.checkpoints = 0
         #: Normalised telemetry handle (``None`` when disabled) — see
         #: :meth:`set_telemetry`.  Hot paths guard on ``is not None`` so
@@ -293,112 +250,63 @@ class AdvanceEngine:
             self.checkpoints += 1
             cb()
 
-    # ------------------------------------------------------------------ #
-    # Plan helpers
-    # ------------------------------------------------------------------ #
-    def fast_len(self, n: int) -> int:
-        """Memoised ``scipy.fft.next_fast_len`` (one lookup per level)."""
-        cached = self._fast_len.get(n)
-        if cached is None:
-            cached = sfft.next_fast_len(n)
-            self._fast_len[n] = cached
-        return cached
-
-    def _hstep(self, taps_t: tuple, h: int) -> np.ndarray:
-        """Engine-local ``hstep_weights`` cache.
-
-        The module-level LRU behind :func:`hstep_weights` is sized for a
-        handful of interleaved solves; a 1024-wide lockstep batch touches
-        ~B x log T distinct ``(taps, h)`` kernels between repeats and
-        thrashes it, recomputing kernels every round on the direct paths.
-        The engine keeps its own dict (entry bound scaled with the batch
-        width alongside ``max_spectra``) and skips the wrapper's per-call
-        validation — the taps were validated on first sight.
-        """
-        key = (taps_t, h)
-        w = self._weights.get(key)
-        if w is None:
-            w = hstep_weights(taps_t, h)
-            self._weights[key] = w
-            while len(self._weights) > self.max_weights:
-                self._weights.pop(next(iter(self._weights)))
-        return w
-
-    def prepare(
-        self, taps: Sequence[float], jobs: Iterable[Tuple[int, int]]
-    ) -> None:
-        """Precompute full plans for known ``(h, input_len)`` advance shapes.
-
-        Drivers whose advance shapes are known up front — the Bermudan jump
-        chain advances full rows of statically known widths — pass them here
-        to materialise the h-step kernel, the ``next_fast_len`` pad size,
-        *and* the kernel spectrum before the solve starts.  Shapes that only
-        emerge at runtime (the trapezoid recursion's divider-dependent
-        windows) plan themselves on first use instead.
-        """
-        taps_t = tuple(float(v) for v in taps)
-        for h, input_len in jobs:
-            h = int(h)
-            if h <= 0:
-                continue
-            w = hstep_weights(taps_t, h)
-            if len(w) <= input_len:
-                self._kernel_spectrum(taps_t, h, self.fast_len(int(input_len)), w)
-
     def cache_info(self) -> dict:
         """Counters for benchmarks and the engine regression tests.
 
-        ``cached_*`` keys are cache sizes; every other key is a cumulative
-        counter (:func:`engine_delta` relies on this naming rule).
+        ``cached_bytes`` is the cache's size; every other key is a
+        cumulative counter (:func:`engine_delta` relies on the ``cached_``
+        naming rule).
         """
         return {
             "spectrum_hits": self.spectrum_hits,
             "spectrum_misses": self.spectrum_misses,
-            "cached_spectra": len(self._spectra),
-            "cached_scratch": len(self._scratch),
-            "cached_blocks": len(self._blocks),
+            "cached_bytes": self._cache_bytes,
             "advances": self.advances,
             "batched_inputs": self.batched_inputs,
-            "block_hits": self.block_hits,
-            "block_misses": self.block_misses,
             "checkpoints": self.checkpoints,
         }
 
-    def _kernel_spectrum(
-        self, taps_t: tuple, h: int, n: int, w: Optional[np.ndarray] = None
-    ) -> tuple[np.ndarray, bool]:
-        """Cached ``conj(rfft(W, n))``; the kernel ``w`` is only
-        materialised on a miss (warm advances never touch the weights)."""
+    # ------------------------------------------------------------------ #
+    # The cache and the staging buffer
+    # ------------------------------------------------------------------ #
+    def _store(self, key: tuple, arr: np.ndarray) -> np.ndarray:
+        """Cache ``arr`` read-only under ``key``, then evict oldest first
+        while over :data:`MAX_CACHE_BYTES` (the newest entry stays)."""
+        arr.setflags(write=False)
+        cache = self._cache
+        cache[key] = arr
+        self._cache_bytes += arr.nbytes
+        while self._cache_bytes > MAX_CACHE_BYTES and len(cache) > 1:
+            self._cache_bytes -= cache.pop(next(iter(cache))).nbytes
+        return arr
+
+    def _kernel(self, taps_t: tuple, h: int) -> np.ndarray:
+        """The cached h-step kernel; :func:`hstep_weights` (and its taps
+        validation) runs on a miss only."""
+        w = self._cache.get((taps_t, h))
+        if w is None:
+            w = self._store((taps_t, h), hstep_weights(taps_t, h))
+        return w
+
+    def _spectrum(self, taps_t: tuple, h: int, n: int) -> tuple[np.ndarray, bool]:
+        """Cached ``conj(rfft(W, n))`` and whether it hit; the kernel is
+        only looked up on a miss (warm advances never touch it)."""
         key = (taps_t, h, n)
-        spec = self._spectra.get(key)
+        spec = self._cache.get(key)
         if spec is not None:
             self.spectrum_hits += 1
             return spec, True
         self.spectrum_misses += 1
-        if w is None:
-            w = hstep_weights(taps_t, h)
-        spec = np.conj(sfft.rfft(w, n=n))
-        self._spectra[key] = spec
-        self._spectra_bytes += spec.nbytes
-        while len(self._spectra) > 1 and (
-            len(self._spectra) > self.max_spectra
-            or self._spectra_bytes > MAX_SPECTRA_BYTES
-        ):
-            old = self._spectra.pop(next(iter(self._spectra)))
-            self._spectra_bytes -= old.nbytes
-        return spec, False
+        spec = np.conj(sfft.rfft(self._kernel(taps_t, h), n=n))
+        return self._store(key, spec), False
 
-    def _padded(self, x: np.ndarray, n: int) -> np.ndarray:
-        buf = self._scratch.get(n)
-        if buf is None:
-            if len(self._scratch) >= self.max_scratch:
-                self._scratch.pop(next(iter(self._scratch)))
-            buf = np.zeros(n, dtype=np.float64)
-            self._scratch[n] = buf
-        m = len(x)
-        buf[:m] = x
-        buf[m:] = 0.0
-        return buf
+    def _staged(self, n: int) -> np.ndarray:
+        """The first ``n`` slots of the staging buffer, grown on demand;
+        they hold stale values until the caller writes them."""
+        buf = self._stage
+        if buf.shape[0] < n:
+            self._stage = buf = np.zeros(max(n, 2 * buf.shape[0]))
+        return buf[:n]
 
     # ------------------------------------------------------------------ #
     # Advances
@@ -416,12 +324,15 @@ class AdvanceEngine:
     def _fft_row(
         self, x: np.ndarray, taps_t: tuple, h: int, kernel_len: int
     ) -> tuple[np.ndarray, AdvanceRecord]:
-        """One row through the cached kernel spectrum (the kernel itself is
-        only materialised on a spectrum miss)."""
+        """One row through the cached kernel spectrum, padded in the
+        staging buffer (the kernel is only looked up on a spectrum miss)."""
         m = len(x)
-        n = self.fast_len(m)
-        spec, hit = self._kernel_spectrum(taps_t, h, n)
-        X = sfft.rfft(self._padded(x, n))
+        n = sfft.next_fast_len(m)
+        spec, hit = self._spectrum(taps_t, h, n)
+        buf = self._staged(n)
+        buf[:m] = x
+        buf[m:] = 0.0
+        X = sfft.rfft(buf)
         X *= spec
         y = sfft.irfft(X, n=n)[: m - kernel_len + 1]
         one_fft = fft_cost(n)
@@ -441,7 +352,7 @@ class AdvanceEngine:
     ) -> tuple[np.ndarray, AdvanceRecord]:
         """One row by direct correlation against the h-step kernel."""
         m = x.shape[0]
-        return _direct_correlate(x, self._hstep(taps_t, h)), AdvanceRecord(
+        return _direct_correlate(x, self._kernel(taps_t, h)), AdvanceRecord(
             "direct", m, h,
             WorkSpan(
                 2.0 * (m - kernel_len + 1) * kernel_len,
@@ -526,58 +437,6 @@ class AdvanceEngine:
             rows=[row],
         )
 
-    def _spectrum_block(
-        self, keys: Sequence[tuple]
-    ) -> tuple[Optional[np.ndarray], list[np.ndarray], bool, dict[int, bool]]:
-        """Stacked conjugated kernel spectra for per-row ``(taps, h, n)`` keys.
-
-        The lockstep recursion asks for the *same combination* of per-row
-        kernels at every reuse of a batch shape (a re-priced grid, a warm
-        quote-service bucket), so the assembled ``(B, n_rfft)`` block is
-        cached whole, keyed by the tuple of per-row keys: a warm round
-        costs one dict lookup instead of B spectrum lookups plus a B-row
-        stack.  A block is only *materialised* on the key's second
-        occurrence — one-shot batch shapes multiply row-by-row against the
-        per-row spectrum cache (one consult per *distinct* key; duplicate
-        rows share their first occurrence's spectrum) and never pay the
-        stacking copies.
-
-        Returns ``(block, row_specs, block_hit, consults)``: ``block`` is
-        the stacked array on a hit (``row_specs`` empty), else ``None``
-        with one spectrum per row in ``row_specs``; ``consults`` maps row
-        position -> that row's per-key hit/miss (consulting rows only).
-        """
-        block_key = tuple(keys)
-        block = self._blocks.get(block_key)
-        if block is not None:
-            self.block_hits += 1
-            return block, [], True, {}
-        self.block_misses += 1
-        n = keys[0][2]
-        row_specs: list[Optional[np.ndarray]] = [None] * len(keys)
-        consults: dict[int, bool] = {}
-        seen: dict[tuple, int] = {}
-        for r, key in enumerate(keys):
-            first = seen.setdefault(key, r)
-            if first != r:
-                row_specs[r] = row_specs[first]
-                continue
-            taps_t, h, _ = key
-            spec, hit = self._kernel_spectrum(taps_t, h, n)
-            row_specs[r] = spec
-            consults[r] = hit
-        recurring = block_key in self._block_seen
-        if not recurring:
-            if len(self._block_seen) >= 8 * self.max_blocks:
-                self._block_seen.pop(next(iter(self._block_seen)))
-            self._block_seen[block_key] = None
-        elif len(keys) * (n // 2 + 1) <= MAX_BLOCK_ELEMENTS:
-            block = np.vstack(row_specs)
-            if len(self._blocks) >= self.max_blocks:
-                self._blocks.pop(next(iter(self._blocks)))
-            self._blocks[block_key] = block
-        return block, row_specs, False, consults  # type: ignore[return-value]
-
     def advance_batch(
         self,
         xs: Sequence[np.ndarray],
@@ -592,9 +451,9 @@ class AdvanceEngine:
         scenario grids, Greek bump grids and coalesced service buckets
         vary volatility/rate per cell, so every cell carries a *different*
         kernel.  Rows are grouped by padded FFT length, each group is
-        stacked into one ``(G, n)`` array, multiplied row-wise by a stacked
-        ``(G, n_rfft)`` kernel-spectrum block (cached whole — see
-        :meth:`_spectrum_block`), and transformed with a single
+        stacked into one ``(G, n)`` array, multiplied row-wise by each
+        row's cached kernel spectrum (one cache consult per distinct
+        kernel in the group), and transformed with a single
         ``rfft``/``irfft`` pair — one batched transform per group instead
         of B Python-level calls.  A one-row call (every advance of a lone
         solve) skips the grouping.
@@ -662,14 +521,6 @@ class AdvanceEngine:
         self.batched_inputs += B
         if self.telemetry is not None:
             self._h_batch_rows.observe(B)
-        # Lockstep interleaving destroys the per-solve temporal locality the
-        # default spectrum bound assumes: B solves' kernels repeat with a
-        # reuse distance of ~B x (distinct kernels per solve).  Scale the
-        # entry bound with the batch width; MAX_SPECTRA_BYTES still caps the
-        # memory.  The direct-path kernel cache reuses with the same
-        # distance, so its bound scales alongside.
-        self.max_spectra = max(self.max_spectra, 8 * B)
-        self.max_weights = max(self.max_weights, 32 * B)
 
         rows: list[Optional[AdvanceRecord]] = [None] * B
         outs: list[Optional[np.ndarray]] = [None] * B
@@ -686,7 +537,7 @@ class AdvanceEngine:
             if len(a) < kernel_len:
                 self._validate(a, q, h)  # raises the standard message
             if method_of(a, scale_list[i], kernel_len) == "fft":
-                fft_groups.setdefault(self.fast_len(len(a)), []).append(i)
+                fft_groups.setdefault(sfft.next_fast_len(len(a)), []).append(i)
             else:
                 # stacked below — direct rows dominate trapezoid batches
                 direct_groups.setdefault(kernel_len, []).append(i)
@@ -706,8 +557,8 @@ class AdvanceEngine:
                     outs[i], rows[i] = self._direct_row(arrs[i], taps_t, h, kl)
                 continue
             # ragged stack: rows share the kernel length but not the input
-            # length — pad to the longest row (junk tails the per-row
-            # output slices never read)
+            # length — pad to the longest row in the staging buffer (junk
+            # tails the per-row output slices never read)
             Gd = len(d_idxs)
             d_arrs = [arrs[i] for i in d_idxs]
             d_lens = [a.shape[0] for a in d_arrs]
@@ -719,22 +570,16 @@ class AdvanceEngine:
             else:
                 lv = np.asarray(d_lens, dtype=np.intp)
                 vcat = np.concatenate(d_arrs)
-                tot = vcat.shape[0]
-                ar = self._arange(max(tot, Gd))
                 cum = np.cumsum(lv)
-                dst = ar[:tot] + np.repeat(ar[:Gd] * la - (cum - lv), lv)
-                Xf = self._xscratch
-                if Xf is None or Xf.shape[0] < Gd * la:
-                    self._xscratch = Xf = np.zeros(
-                        max(Gd * la,
-                            2 * (Xf.shape[0] if Xf is not None else 0)),
-                        dtype=np.float64,
-                    )
-                Xf[dst] = vcat
-                Xd = Xf[: Gd * la].reshape(Gd, la)
-            hstep = self._hstep
+                dst = np.arange(vcat.shape[0]) + np.repeat(
+                    np.arange(Gd) * la - (cum - lv), lv
+                )
+                Xd = self._staged(Gd * la)
+                Xd[dst] = vcat
+                Xd = Xd.reshape(Gd, la)
+            kernel = self._kernel
             Wd = np.concatenate(
-                [hstep(kers[i][0], kers[i][1]) for i in d_idxs]
+                [kernel(kers[i][0], kers[i][1]) for i in d_idxs]
             ).reshape(Gd, kl)
             yd = Wd[:, 0:1] * Xd[:, :n_out]
             for k in range(1, kl):
@@ -760,7 +605,7 @@ class AdvanceEngine:
                     )
                 rows[i] = rec_d
 
-        hits = misses = block_hits = block_misses = 0
+        hits = misses = 0
         for n, idxs in fft_groups.items():
             one_fft = fft_cost(n)
             if len(idxs) == 1:
@@ -775,10 +620,22 @@ class AdvanceEngine:
                 hits += int(hit)
                 misses += int(not hit)
                 continue
-            keys = [(kers[i][0], kers[i][1], n) for i in idxs]
-            block, row_specs, block_hit, consults = self._spectrum_block(keys)
-            block_hits += int(block_hit)
-            block_misses += int(not block_hit)
+            # one cache consult per distinct kernel: a repeated kernel
+            # shares its first row's spectrum and records no consult
+            specs: list[np.ndarray] = []
+            consults: list[Optional[bool]] = []
+            first: dict[tuple, np.ndarray] = {}
+            for i in idxs:
+                spec = first.get(kers[i])
+                if spec is None:
+                    spec, hit = self._spectrum(kers[i][0], kers[i][1], n)
+                    first[kers[i]] = spec
+                    consults.append(hit)
+                    hits += int(hit)
+                    misses += int(not hit)
+                else:
+                    consults.append(None)
+                specs.append(spec)
             # one fancy-index scatter into a fresh zero block instead of
             # 2G per-row slice assignments — the pad tails must be exact
             # zeros (the FFT reads them), which np.zeros provides
@@ -786,19 +643,14 @@ class AdvanceEngine:
             f_arrs = [arrs[i] for i in idxs]
             lv = np.asarray([a.shape[0] for a in f_arrs], dtype=np.intp)
             vcat = np.concatenate(f_arrs)
-            tot = vcat.shape[0]
-            ar = self._arange(max(tot, Gf))
-            dst = ar[:tot] + np.repeat(
-                ar[:Gf] * n - (np.cumsum(lv) - lv), lv
+            dst = np.arange(vcat.shape[0]) + np.repeat(
+                np.arange(Gf) * n - (np.cumsum(lv) - lv), lv
             )
             flat = np.zeros(Gf * n, dtype=np.float64)
             flat[dst] = vcat
             X = sfft.rfft(flat.reshape(Gf, n), axis=-1)
-            if block is not None:
-                X *= block
-            else:
-                for r, spec in enumerate(row_specs):
-                    X[r] *= spec
+            for r, spec in enumerate(specs):
+                X[r] *= spec
             Y = sfft.irfft(X, n=n, axis=-1)
             rcache_f: dict = {}
             for r, i in enumerate(idxs):
@@ -809,17 +661,8 @@ class AdvanceEngine:
                 # every row belongs to a different solver, so views are
                 # disjoint and safe to hand out (and to mutate in place)
                 outs[i] = Y[r, :out_len]
-                consult = consults.get(r)
-                if consult is None:
-                    # served from the block cache (or a duplicate key):
-                    # no per-key consult happened for this row
-                    t = 2.0
-                    row_hit: Optional[bool] = None
-                else:
-                    t = 2.0 if consult else 3.0
-                    row_hit = consult
-                    hits += int(consult)
-                    misses += int(not consult)
+                row_hit = consults[r]
+                t = 3.0 if row_hit is False else 2.0
                 rkey = (la, h, row_hit)
                 rec_f = rcache_f.get(rkey)
                 if rec_f is None:
@@ -861,18 +704,8 @@ class AdvanceEngine:
             spectrum_hits=hits,
             spectrum_misses=misses,
             batch=B,
-            block_hits=block_hits,
-            block_misses=block_misses,
             rows=rows,  # type: ignore[arg-type]
         )
-
-
-    def _arange(self, n: int) -> np.ndarray:
-        """A ``>= n``-long cached ``arange`` (callers slice what they need)."""
-        ar = self._ar
-        if ar is None or ar.shape[0] < n:
-            self._ar = ar = np.arange(max(2 * n, 256), dtype=np.intp)
-        return ar
 
 
 def engine_delta(before: dict, after: dict) -> dict:
@@ -890,9 +723,10 @@ def engine_delta(before: dict, after: dict) -> dict:
 
 
 #: Default engines behind the module-level compatibility wrapper are
-#: per-thread: an engine's scratch buffers are reused across calls, so a
-#: single engine must not serve concurrent advances (each solver creates
-#: its own per-solve engine; only this stateless wrapper needs the guard).
+#: per-thread: an engine's cache, staging buffer and counters update
+#: without a lock, so a single engine must not serve concurrent advances
+#: (each solver creates its own per-solve engine; only this stateless
+#: wrapper needs the guard).
 _DEFAULT_ENGINES = threading.local()
 
 

@@ -15,15 +15,15 @@ the coefficient vector of the polynomial ``(s_0 + s_1 z + ... + s_q z^q)^h``
 * :func:`convolution_power_weights` — iterated ``np.convolve`` (O(q^2 h^2)),
   the brute-force oracle used by the tests.
 
-:func:`hstep_weights` picks the best method automatically and caches results
-(the trapezoid decomposition requests the same heights repeatedly at each
-recursion level).
+:func:`hstep_weights` validates the taps and picks the best method.  It
+caches nothing: the trapezoid decomposition requests the same heights
+repeatedly at each recursion level, and each
+:class:`~repro.core.fftstencil.AdvanceEngine` caches the kernels it uses.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -96,23 +96,8 @@ def convolution_power_weights(taps: Sequence[float], h: int) -> np.ndarray:
     return w
 
 
-#: Sized for lockstep batches: a heterogeneous B-solve grid touches
-#: ~B x log T *distinct* (taps, h) keys — ~12k for a 1024-cell grid at
-#: T=256 — and the round-robin access pattern is LRU's worst case, so a
-#: bound below the working set degrades to ~0% hits.  Entries are tiny
-#: (a kernel is q*h+1 floats, ~2 KB at T=256), so hold the whole set.
-@lru_cache(maxsize=32768)
-def _cached_weights(taps: tuple[float, ...], h: int) -> np.ndarray:
-    if len(taps) == 2 and taps[0] > 0.0 and taps[1] > 0.0:
-        w = binomial_weights(taps[0], taps[1], h)
-    else:
-        w = symbol_power_weights(taps, h)
-    w.setflags(write=False)  # cached array must not be mutated by callers
-    return w
-
-
 def hstep_weights(taps: Sequence[float], h: int) -> np.ndarray:
-    """The ``h``-step kernel for ``taps``, cached, read-only.
+    """The ``h``-step kernel for ``taps``, as a fresh array.
 
     Nonnegative substochastic taps are required — that is exactly the class
     arising from discounted risk-neutral lattices and monotone explicit FD
@@ -127,7 +112,9 @@ def hstep_weights(taps: Sequence[float], h: int) -> np.ndarray:
             f"taps must be nonnegative with sum <= 1 (got sum {total:.6g}); "
             "this solver targets discounted transition weights"
         )
-    return _cached_weights(taps, h)
+    if len(taps) == 2 and taps[0] > 0.0 and taps[1] > 0.0:
+        return binomial_weights(taps[0], taps[1], h)
+    return symbol_power_weights(taps, h)
 
 
 def weights_checksum(taps: Sequence[float], h: int) -> float:

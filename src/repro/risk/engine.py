@@ -24,7 +24,7 @@ identical results:
     prices, exactly as they do in a serial batch.
 ``thread``
     ``ThreadPoolExecutor`` — one engine per worker *thread* (the engine's
-    scratch buffers are not thread-safe).  Useful when the solve releases
+    cache and counters update without a lock).  Useful when the solve releases
     the GIL (large FFTs) or for debugging without process overhead.
 ``serial``
     Same chunking, same code path, no pool — the reference every parallel
@@ -176,8 +176,8 @@ def _merge_engine_deltas(deltas: Sequence[dict]) -> Optional[dict]:
 
     Counter deltas add; the ``cached_*`` keys are absolute descriptions
     of each worker's engine, so the merged view keeps the max (the
-    biggest plan cache any worker grew), mirroring what a single shared
-    engine would report.
+    ``cached_bytes`` of the biggest cache any worker grew), mirroring
+    what a single shared engine would report.
     """
     if not deltas:
         return None

@@ -38,8 +38,8 @@ the drain itself (backpressure) and a non-blocking one raises
 
 Threading: every public method is safe to call from multiple threads.
 Cache hits, enqueues and bookkeeping run concurrently; the *cold solves*
-themselves serialize on an internal mutex because the shared plan-caching
-engine's scratch buffers are not thread-safe — concurrent throughput on a
+themselves serialize on an internal mutex because the shared engine's
+cache and counters update without a lock — concurrent throughput on a
 cold stream comes from ``workers > 1`` (per-worker engines), not from
 racing threads into one engine.
 """
@@ -367,8 +367,8 @@ class QuoteService:
             else None
         )
         self._lock = threading.RLock()
-        #: Serializes solves on the shared engine (its scratch buffers are
-        #: not thread-safe); never acquired while holding ``_lock``.
+        #: Serializes solves on the shared engine (its cache and counters
+        #: update without a lock); never acquired while holding ``_lock``.
         self._solve_mutex = threading.Lock()
         self._queue: list[_Pending] = []
         self._inflight: dict[tuple, _Pending] = {}

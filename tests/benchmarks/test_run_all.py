@@ -272,6 +272,24 @@ class TestValidateReport:
 
 
 class TestSuiteTrace:
+    def test_trace_lands_under_out_dir(self, run_all, tmp_path, monkeypatch):
+        """``--out-dir`` elsewhere leaves the repo root untouched."""
+        root = tmp_path / "root"
+        out = tmp_path / "out"
+        root.mkdir()
+        out.mkdir()
+        monkeypatch.setattr(run_all, "REPO_ROOT", str(root))
+        monkeypatch.setattr(
+            run_all, "run_suite",
+            lambda *, smoke, out_dir: ({"risk": make_report()}, []),
+        )
+        status = run_all.main(
+            ["--out-dir", str(out), "--trajectory", str(out / "t.jsonl")]
+        )
+        assert status == 0
+        assert (out / "results" / "run_all_trace.json").exists()
+        assert list(root.iterdir()) == []
+
     def test_exported_trace_is_loadable_and_valid(self, run_all, tmp_path):
         from repro.obs import validate_chrome_trace
 

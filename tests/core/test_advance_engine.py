@@ -1,11 +1,13 @@
-"""Tests for the plan-caching AdvanceEngine (docs/DESIGN.md §3)."""
+"""Tests for the kernel-caching AdvanceEngine (docs/DESIGN.md §3)."""
 
 import dataclasses
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 from scipy.signal import fftconvolve
 
+from repro.core import fftstencil
 from repro.core.api import price_american, price_european, price_many
 from repro.core.fftstencil import AdvanceEngine, AdvancePolicy, advance
 from repro.core.tree_solver import solve_tree_fft
@@ -248,21 +250,79 @@ class TestPriceMany:
         assert all(r.meta["batch_size"] == 4 for r in results)
 
 
-class TestPrepare:
-    def test_prepared_bermudan_jump_hits_spectrum_cache(self):
-        """price_tree_bermudan_fft pre-plans its statically known jumps."""
+class TestEngineCache:
+    """One cache per engine: kernels and their spectra under one budget."""
+
+    def test_byte_budget_bounds_the_cache_and_changes_no_bits(
+        self, monkeypatch
+    ):
+        budget = 256 * 1024
+        monkeypatch.setattr(fftstencil, "MAX_CACHE_BYTES", budget)
+        rng = np.random.default_rng(13)
+        engine = AdvanceEngine()
+        n_fft = 2000
+        # the biggest entry this test stores: one spectrum of an n_fft row
+        newest = (sfft.next_fast_len(n_fft) // 2 + 1) * 16
+        first_fft = None
+        for k in range(40):
+            taps = (0.2, 0.5 + k * 1e-3, 0.25)
+            xs = [
+                rng.uniform(0.0, 100.0, size=n_fft),  # fft group of two
+                rng.uniform(0.0, 100.0, size=n_fft),
+                rng.uniform(0.0, 1e18, size=900),  # guard trips: direct
+                rng.uniform(0.0, 100.0, size=60 + k),  # ragged direct stack
+                rng.uniform(0.0, 100.0, size=95),
+            ]
+            kernels = [
+                (taps, 300 + k), (TAPS_2, 500 + k), (taps, 100 + k),
+                (taps, 4), (TAPS_2, 8),
+            ]
+            scales = [None, None, 1.0, None, None]
+            outs, rec = engine.advance_batch(xs, kernels, scales=scales)
+            assert [r.method for r in rec.rows] == ["fft"] * 2 + ["direct"] * 3
+            assert engine.cache_info()["cached_bytes"] <= budget + newest
+            for x, (t, h), s, y in zip(xs, kernels, scales, outs):
+                y_ref, _ = AdvanceEngine().advance(x, t, h, scale=s)
+                np.testing.assert_array_equal(y, y_ref)
+            if first_fft is None:
+                first_fft = (xs[0], kernels[0])
+        # the first kernel's spectrum was evicted long ago
+        x, (taps, h) = first_fft
+        _, rec = engine.advance(x, taps, h)
+        assert rec.spectrum_hit is False
+
+    def test_bermudan_counts_every_jump_transform(self):
+        """Each distinct jump shape transforms its kernel once, inside the
+        solve, and shows up in the solve's own stats."""
         from repro.core.bermudan import price_tree_bermudan_fft
 
+        T = 1024
         params = BinomialParams.from_spec(
-            dataclasses.replace(SPEC, style=Style.BERMUDAN), 1024
+            dataclasses.replace(SPEC, style=Style.BERMUDAN), T
         )
-        engine = AdvanceEngine()
-        r = price_tree_bermudan_fft(params, (256, 512, 768), engine=engine)
-        # every fft jump found its spectrum precomputed by prepare()
-        assert r.stats.spectrum_hits == r.stats.fft_calls > 0
+        rows = (256, 512, 768)
+        r = price_tree_bermudan_fft(params, rows, engine=AdvanceEngine())
+        shapes = set()
+        prev = T
+        for row in (*sorted(rows, reverse=True), 0):
+            shapes.add((prev - row, sfft.next_fast_len(prev + 1)))
+            prev = row
+        assert r.stats.fft_calls == 4
+        assert r.stats.spectrum_misses == len(shapes)
+        assert r.stats.spectrum_hits + r.stats.spectrum_misses == r.stats.fft_calls
 
-    def test_prepare_skips_invalid_and_zero_heights(self):
-        engine = AdvanceEngine()
-        engine.prepare(TAPS_2, [(0, 100), (50, 10), (20, 100)])
-        # only the (20, 100) job is a valid advance shape
-        assert engine.cache_info()["cached_spectra"] == 1
+    def test_kernel_evaluated_once_across_pad_lengths(self, monkeypatch):
+        calls = []
+
+        def counting(taps, h):
+            calls.append((tuple(taps), h))
+            return hstep_weights(taps, h)
+
+        monkeypatch.setattr(fftstencil, "hstep_weights", counting)
+        rng = np.random.default_rng(14)
+        engine = AdvanceEngine(AdvancePolicy(mode="fft"))
+        engine.advance(rng.uniform(0, 1.0, size=300), TAPS_2, 60)
+        engine.advance(rng.uniform(0, 1.0, size=450), TAPS_2, 60)
+        assert sfft.next_fast_len(300) != sfft.next_fast_len(450)
+        assert engine.cache_info()["spectrum_misses"] == 2
+        assert calls == [(TAPS_2, 60)]

@@ -73,14 +73,6 @@ class TestSymbolPowerWeights:
 
 
 class TestHstepWeights:
-    def test_cached_readonly(self):
-        w = hstep_weights((0.4, 0.5), 8)
-        with pytest.raises(ValueError):
-            w[0] = 99.0
-
-    def test_cache_returns_same_object(self):
-        assert hstep_weights((0.4, 0.5), 9) is hstep_weights((0.4, 0.5), 9)
-
     def test_rejects_negative_taps(self):
         with pytest.raises(ValidationError):
             hstep_weights((-0.1, 0.5), 2)
