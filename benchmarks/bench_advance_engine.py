@@ -1,20 +1,17 @@
 """Advance throughput of the plan-caching AdvanceEngine against a
 stateless FFT convolution.
 
-Measures two things across ``T in {2^10 .. 2^17}`` and writes
-``BENCH_advance_engine.json`` (repo root by default):
-
-1. **Repeated same-height advances** — the kernel-spectrum cache-hit path
-   (one rFFT + pointwise multiply + irFFT against a cached conjugated
-   kernel spectrum) versus ``scipy.signal.fftconvolve`` with the reversed
-   h-step kernel (three transforms of a larger pad plus a reversed-kernel
-   copy per call), the pre-engine advance, rebuilt here as the baseline.
-   This is the access pattern of the trapezoid recursion, which requests
-   the same ``(taps, h)`` kernel at every level.  The headline
-   (``max_advance_speedup``) is this row's best speedup, and the recorded
-   drift its largest relative output difference.
-2. **Batched portfolio jumps** — one same-kernel ``advance_batch`` over a
-   strike strip versus the same advances issued one by one.
+Measures repeated same-height advances across ``T in {2^10 .. 2^17}`` and
+writes ``BENCH_advance_engine.json`` (repo root by default): the
+kernel-spectrum cache-hit path (one rFFT + pointwise multiply + irFFT
+against a cached conjugated kernel spectrum) versus
+``scipy.signal.fftconvolve`` with the reversed h-step kernel (three
+transforms of a larger pad plus a reversed-kernel copy per call), the
+pre-engine advance, rebuilt here as the baseline.  This is the access
+pattern of the trapezoid recursion, which requests the same ``(taps, h)``
+kernel at every level.  The headline (``max_advance_speedup``) is the
+best speedup, and the recorded drift the largest relative output
+difference.
 
 There is no full-solve row: a solve has no stateless-convolution mode to
 compare against.
@@ -99,33 +96,6 @@ def bench_repeated_advance(T: int, inner: int, repeats: int) -> dict:
     }
 
 
-def bench_batched(T: int, batch: int, repeats: int) -> dict:
-    """One same-kernel advance_batch over a strike strip vs the same
-    advances one by one."""
-    params = BinomialParams.from_spec(SPEC, T)
-    h = T
-    rng = np.random.default_rng(1)
-    xs = [rng.uniform(0.0, 100.0, size=T + h + 1) for _ in range(batch)]
-    engine = AdvanceEngine()
-    engine.advance(xs[0], params.taps, h, scale=SPEC.strike)  # warm
-
-    t_seq = _best_of(
-        lambda: [engine.advance(x, params.taps, h, scale=SPEC.strike) for x in xs],
-        repeats,
-    )
-    kernels = [(params.taps, h)] * batch
-    t_batch = _best_of(
-        lambda: engine.advance_batch(xs, kernels, scales=SPEC.strike), repeats
-    )
-    return {
-        "T": T,
-        "batch": batch,
-        "sequential_s": t_seq,
-        "batched_s": t_batch,
-        "speedup": t_seq / t_batch,
-    }
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -153,7 +123,6 @@ def main() -> int:
         quick=args.quick,
         sizes=sizes,
         repeated_advance=[],
-        batched=[],
     )
     for T in sizes:
         row = bench_repeated_advance(T, inner, repeats)
@@ -161,13 +130,6 @@ def main() -> int:
         print(
             f"advance  T={T:>7} h={row['h']:>6}  legacy {row['legacy_s']*1e3:8.3f} ms"
             f"  cached {row['cached_s']*1e3:8.3f} ms  speedup {row['speedup']:5.2f}x"
-        )
-    for T in sizes[: len(sizes) // 2 + 1]:
-        row = bench_batched(T, batch=16, repeats=repeats)
-        report["batched"].append(row)
-        print(
-            f"batch    T={T:>7} x16  sequential {row['sequential_s']*1e3:8.3f} ms"
-            f"  batched {row['batched_s']*1e3:8.3f} ms  speedup {row['speedup']:5.2f}x"
         )
 
     report["summary"] = {

@@ -1,7 +1,7 @@
 """Telemetry overhead: the instrument panel must not slow the solves.
 
-Writes ``BENCH_obs.json`` (repo root by default) timing the 1024-cell
-heterogeneous American grid — the same grid ``bench_batch.py`` measures —
+Writes ``BENCH_obs.json`` (repo root by default) timing a 1024-cell
+heterogeneous American grid (every cell its own vol/rate/spot kernel)
 through the :class:`~repro.risk.engine.ScenarioEngine` serial path under
 three telemetry configurations:
 
@@ -11,9 +11,9 @@ three telemetry configurations:
    ``active()`` normalises it to ``None`` at construction, so this must be
    indistinguishable from *off*; the gate pins the no-op fast path at
    <= 2% overhead.
-3. **enabled** — a live :class:`~repro.obs.Telemetry`: spans around every
-   lockstep round, batch-width histograms, chunk timings, counter folds,
-   and the flight-recorder journal armed (its emit sites are cold-path
+3. **enabled** — a live :class:`~repro.obs.Telemetry`: grid, dispatch,
+   chunk and solve spans, chunk timings, counter folds, and the
+   flight-recorder journal armed (its emit sites are cold-path
    only, so a clean run journals nothing — that *is* the design being
    gated).  Gate: <= 10% overhead over *off*.
 
@@ -27,6 +27,7 @@ measurement; the agreement and instrumentation-fired gates always hold).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -36,12 +37,35 @@ sys.path.insert(
 )
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from bench_batch import build_grid  # noqa: E402
+import numpy as np  # noqa: E402
+
 from conftest import bench_report, telemetry_section, write_bench_report  # noqa: E402
 
 from repro.obs import Telemetry, chrome_trace, validate_chrome_trace  # noqa: E402
-from repro.options.contract import Style  # noqa: E402
+from repro.options.contract import OptionSpec, Right  # noqa: E402
 from repro.risk.engine import ScenarioEngine  # noqa: E402
+
+
+def build_grid(n_cells: int) -> list[OptionSpec]:
+    """``n_cells`` American calls, each with its own vol/rate/spot kernel."""
+    base = OptionSpec(
+        spot=100.0, strike=100.0, rate=0.03, volatility=0.2,
+        dividend_yield=0.02, expiry_days=252.0, right=Right.CALL,
+    )
+    rng = np.random.default_rng(7)
+    return [
+        dataclasses.replace(
+            base,
+            spot=float(s),
+            volatility=float(v),
+            rate=float(r),
+        )
+        for s, v, r in zip(
+            rng.uniform(90.0, 110.0, size=n_cells),
+            rng.uniform(0.12, 0.45, size=n_cells),
+            rng.uniform(0.0, 0.08, size=n_cells),
+        )
+    ]
 
 
 def _run_grid(specs, steps, telemetry):
@@ -53,7 +77,7 @@ def _run_grid(specs, steps, telemetry):
 
 
 def bench_overhead(n_cells: int, steps: int, repeats: int) -> dict:
-    specs = build_grid(n_cells, Style.AMERICAN)
+    specs = build_grid(n_cells)
     modes = [
         ("off", lambda: None),
         ("disabled", Telemetry.disabled),
@@ -95,8 +119,8 @@ def bench_overhead(n_cells: int, steps: int, repeats: int) -> dict:
             for m in snap["metrics"]
             if m["name"] == "risk_engine_advances"
         ),
-        "enabled_round_spans": last_tel.tracer.phase_breakdown()
-        .get("lockstep_round", {})
+        "enabled_solve_spans": last_tel.tracer.phase_breakdown()
+        .get("solve", {})
         .get("count", 0),
         # the journal is armed but must stay silent on a clean run —
         # its emit sites are recovery/degradation paths only
@@ -151,7 +175,7 @@ def main() -> int:
     assert ov["enabled_collected_advances"] > 0, (
         "engine counters were not folded into the registry"
     )
-    assert ov["enabled_round_spans"] > 0, "no lockstep_round spans recorded"
+    assert ov["enabled_solve_spans"] > 0, "no solve spans recorded"
     # Clean runs never touch the flight recorder's cold paths.
     assert ov["enabled_journal_events"] == 0, (
         "journal events emitted on a fault-free run — an emit site leaked "

@@ -8,10 +8,10 @@ measurements:
    plain, and again with a never-firing resilience configuration (a
    generous :class:`~repro.resilience.deadline.Deadline` plus a
    :class:`~repro.resilience.retry.RetryPolicy` that never triggers).
-   Both run the one dispatch loop and price each chunk as one lockstep
-   batch, so the resilient run must stay bit-identical and differ only by
-   bookkeeping: the deadline checkpoint at every advance and the recovery
-   counters.
+   Both run the one dispatch loop and price each chunk as one
+   ``price_many`` call, so the resilient run must stay bit-identical and
+   differ only by bookkeeping: the deadline checkpoint at every advance and
+   the recovery counters.
 2. **Fault-recovery cost** — a seeded
    :class:`~repro.resilience.faults.FaultPlan` crashes ~25% of cells once
    each; the retrying dispatch must converge to the clean run's prices

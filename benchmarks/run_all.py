@@ -71,7 +71,6 @@ load_rows = trajectory.load_rows
 BENCHES = (
     ("advance_engine", "bench_advance_engine.py", "--quick"),
     ("scenario_engine", "bench_scenario_engine.py", "--quick"),
-    ("batch", "bench_batch.py", "--smoke"),
     ("service", "bench_service.py", "--smoke"),
     ("implied", "bench_implied.py", "--smoke"),
     ("resilience", "bench_resilience.py", "--smoke"),

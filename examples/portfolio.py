@@ -48,8 +48,8 @@ def main(argv: list[str] | None = None) -> int:
 
     t0 = time.perf_counter()
     # One shared plan-caching engine across the whole book: same-expiry
-    # contracts reuse kernel spectra, and the European reference strip
-    # collapses into one multi-kernel advance_batch jump.
+    # contracts reuse kernel spectra, and each European reference contract
+    # is one expiry-to-root jump on it.
     engine = AdvanceEngine()
     americans = price_many(chain, args.steps, engine=engine)
     eu_chain = [dataclasses.replace(s, style=Style.EUROPEAN) for s in chain]

@@ -16,18 +16,15 @@ from repro.core.backend import (
     get_backend,
     register_backend,
 )
-from repro.core.bermudan import (
-    price_tree_bermudan_fft,
-    price_tree_bermudan_fft_batch,
-)
-from repro.core.bsm_solver import BSMFFTResult, solve_bsm_fft, solve_bsm_fft_batch
+from repro.core.bermudan import price_tree_bermudan_fft
+from repro.core.bsm_solver import BSMFFTResult, solve_bsm_fft
 from repro.core.fftstencil import (
     AdvanceEngine,
     AdvancePolicy,
     DEFAULT_POLICY,
     advance,
 )
-from repro.core.tree_solver import TreeFFTResult, solve_tree_fft, solve_tree_fft_batch
+from repro.core.tree_solver import TreeFFTResult, solve_tree_fft
 from repro.core.weights import (
     binomial_weights,
     convolution_power_weights,
@@ -49,17 +46,14 @@ __all__ = [
     "price_european",
     "price_many",
     "price_tree_bermudan_fft",
-    "price_tree_bermudan_fft_batch",
     "BSMFFTResult",
     "solve_bsm_fft",
-    "solve_bsm_fft_batch",
     "AdvanceEngine",
     "AdvancePolicy",
     "DEFAULT_POLICY",
     "advance",
     "TreeFFTResult",
     "solve_tree_fft",
-    "solve_tree_fft_batch",
     "binomial_weights",
     "convolution_power_weights",
     "hstep_weights",

@@ -30,18 +30,18 @@ import numpy as np
 from repro.baselines.registry import BASELINES
 from repro.core.backend import get_backend, register_backend
 from repro.core.bermudan import price_tree_bermudan_fft
-from repro.core.bsm_solver import DEFAULT_BSM_BASE, solve_bsm_fft_batch
+from repro.core.bsm_solver import DEFAULT_BSM_BASE, solve_bsm_fft
 from repro.core.fftstencil import DEFAULT_POLICY, AdvanceEngine, AdvancePolicy
 from repro.core.metrics import SolveStats
 from repro.core.symmetry import canonicalize_right
-from repro.core.tree_solver import DEFAULT_BASE, solve_tree_fft_batch
+from repro.core.tree_solver import DEFAULT_BASE, solve_tree_fft
 from repro.lattice.binomial import price_binomial
 from repro.lattice.blackscholes_fd import price_bsm_fd
 from repro.lattice.trinomial import price_trinomial
+from repro.obs import NULL_SPAN
 from repro.options.analytic import black_scholes, no_early_exercise_call
 from repro.options.contract import OptionSpec, Right, Style
 from repro.options.params import BinomialParams, BSMGridParams, TrinomialParams
-from repro.options.payoff import terminal_payoff
 from repro.parallel.workspan import WorkSpan, rows_cost
 from repro.util.validation import ValidationError, check_integer
 
@@ -144,7 +144,7 @@ def price_american(
     * ``backend`` selects the registered
       :class:`~repro.core.backend.PricerBackend`: ``"lattice"`` (default)
       runs the paper's solvers exactly — a lone contract is the B = 1 case
-      of the :func:`price_many` batch — while ``"spectral"`` answers from
+      of :func:`price_many` — while ``"spectral"`` answers from
       the Chebyshev-collocation fast pricer (:mod:`repro.core.spectral`)
       within its stated tolerance.  The contract is priced American on
       every backend, whatever its ``style``.  Every result records the
@@ -233,113 +233,80 @@ def price_bermudan(
     )
 
 
-def _batch_european_tree_fft(
-    specs: Sequence[OptionSpec],
-    steps: int,
-    model: str,
-    engine: AdvanceEngine,
-) -> list[PricingResult]:
-    """Batched European tree pricing: one multi-kernel jump for the batch.
-
-    Every spec's expiry row is advanced ``steps`` rows to the root by its
-    *own* lattice kernel in a single
-    :meth:`~repro.core.fftstencil.AdvanceEngine.advance_batch` call — a
-    scenario grid that varies volatility/rate per cell batches exactly as
-    well as a strike strip on one underlying.  Per-row records keep each
-    contract's method/spectrum accounting truthful.
-    """
-    cls = BinomialParams if model == "binomial" else TrinomialParams
-    params_list = [
-        cls.from_spec(s.with_style(Style.EUROPEAN), steps) for s in specs
-    ]
-    if not params_list:
-        return []
-    q = len(params_list[0].taps) - 1
-    j = np.arange(q * steps + 1, dtype=np.float64)
-    xs = [
-        terminal_payoff(p.spec, p.asset_price(steps, j)) for p in params_list
-    ]
-    ys, rec = engine.advance_batch(
-        xs,
-        [(p.taps, steps) for p in params_list],
-        scales=[p.spec.strike for p in params_list],
-    )
-    row_ws = rows_cost(1, q * steps + 1, 1)
-    results: list[PricingResult] = []
-    for r, p in enumerate(params_list):
-        row = rec.rows[r]  # type: ignore[index]
-        stats = SolveStats()
-        stats.cells_evaluated += q * steps + 1
-        stats.note_advance(row.method, row.input_len, row.spectrum_hit)
-        results.append(
-            PricingResult(
-                price=float(ys[r][0]),
-                steps=steps,
-                model=model,
-                method="fft",
-                workspan=row_ws.then(row.workspan),
-                stats=stats.as_dict(),
-                boundary=None,
-                meta={
-                    "style": "european",
-                    "batched": True,
-                    "batch_size": len(specs),
-                    "params": p,
-                },
-            )
-        )
-    return results
-
-
-def _batch_european_bsm_fft(
-    specs: Sequence[OptionSpec],
+def _european_bsm_fft(
+    spec: OptionSpec,
     steps: int,
     lam: Optional[float],
     engine: AdvanceEngine,
-) -> list[PricingResult]:
-    """Batched European FD-grid puts: one multi-kernel cone jump.
-
-    Each row is the put's payoff on the cone's base row, advanced
+) -> PricingResult:
+    """A European FD-grid put: the payoff on the cone's base row, advanced
     ``steps`` rows to the apex in one jump and scaled by the strike —
     discretisation-identical to :func:`repro.lattice.price_bsm_fd` with
-    ``Style.EUROPEAN`` — with all rows advanced by one ``advance_batch``
-    call.
-    """
-    params_list = [
-        BSMGridParams.from_spec(s.with_style(Style.EUROPEAN), steps, lam=lam)
-        for s in specs
-    ]
-    if not params_list:
-        return []
-    k = np.arange(-steps, steps + 1)
-    xs = [np.maximum(p.payoff(k), 0.0) for p in params_list]
-    ys, rec = engine.advance_batch(
-        xs, [(p.taps, steps) for p in params_list], scales=1.0
+    ``Style.EUROPEAN``."""
+    p = BSMGridParams.from_spec(spec, steps, lam=lam)
+    x = np.maximum(p.payoff(np.arange(-steps, steps + 1)), 0.0)
+    y, rec = engine.advance(x, p.taps, steps, scale=1.0)
+    stats = SolveStats()
+    stats.note_advance(rec.method, rec.input_len, rec.spectrum_hit)
+    return PricingResult(
+        price=float(p.spec.strike * y[0]),
+        steps=steps,
+        model="bsm-fd",
+        method="fft",
+        workspan=rows_cost(1, 2 * steps + 1, 1).then(rec.workspan),
+        stats=stats.as_dict(),
+        boundary=None,
+        meta={"style": "european", "params": p},
     )
-    row_ws = rows_cost(1, 2 * steps + 1, 1)
-    results: list[PricingResult] = []
-    for r, p in enumerate(params_list):
-        row = rec.rows[r]  # type: ignore[index]
-        stats = SolveStats()
-        stats.note_advance(row.method, row.input_len, row.spectrum_hit)
-        results.append(
-            PricingResult(
-                price=float(p.spec.strike * ys[r][0]),
-                steps=steps,
-                model="bsm-fd",
-                method="fft",
-                workspan=row_ws.then(row.workspan),
-                stats=stats.as_dict(),
-                boundary=None,
-                meta={
-                    "style": "european",
-                    "batched": True,
-                    "batch_size": len(specs),
-                    "params": p,
-                },
-            )
+
+
+def _fft_price(
+    spec: OptionSpec,
+    steps: int,
+    model: str,
+    base: Optional[int],
+    lam: Optional[float],
+    engine: AdvanceEngine,
+    record_boundary: bool,
+) -> PricingResult:
+    """One American or European contract on the paper's fft solvers."""
+    if model == "bsm-fd":
+        if spec.style is Style.EUROPEAN:
+            return _european_bsm_fft(spec, steps, lam, engine)
+        r = solve_bsm_fft(
+            BSMGridParams.from_spec(spec, steps, lam=lam),
+            base=DEFAULT_BSM_BASE if base is None else base,
+            engine=engine,
+            record_boundary=record_boundary,
         )
-    return results
+    else:
+        cls = BinomialParams if model == "binomial" else TrinomialParams
+        if spec.style is Style.EUROPEAN:
+            # the no-exercise-date jump chain: one jump from expiry to root
+            r = price_tree_bermudan_fft(
+                cls.from_spec(spec, steps), (), engine=engine
+            )
+            return PricingResult(
+                r.price, steps, model, "fft", r.workspan, r.stats.as_dict(),
+                None, r.meta,
+            )
+        folded, dualized = canonicalize_right(spec, model)
+        r = solve_tree_fft(
+            cls.from_spec(folded, steps),
+            base=DEFAULT_BASE if base is None else base,
+            engine=engine,
+            record_boundary=record_boundary,
+        )
+        if dualized:
+            r.meta["symmetric_dual_of"] = spec
+            r.meta["note"] = (
+                "priced as the dual American call C(K, S, Y, R); "
+                "exact on CRR lattices"
+            )
+    return PricingResult(
+        r.price, steps, model, "fft", r.workspan, r.stats.as_dict(),
+        r.boundary.points if r.boundary else None, r.meta,
+    )
 
 
 def _loop_price(
@@ -392,33 +359,33 @@ def _lattice_price(
 
     The one dispatcher behind every lattice door (:func:`price_american`
     and :func:`price_european` are its B = 1 calls, :func:`price_many` the
-    batch): each spec is priced per its own ``style``, and contracts
-    sharing a *step schedule* — the same exercise structure over the same
-    ``steps``, not the same spec — march together, each on its **own**
-    kernel, through :meth:`~repro.core.fftstencil.AdvanceEngine.advance_batch`:
+    batch): each spec is priced per its own ``style`` by a lone solve, and
+    every ``fft`` solve of the call runs on **one** plan-caching
+    :class:`~repro.core.fftstencil.AdvanceEngine`, so kernels and spectra
+    amortise across the contracts:
 
-    * **European tree/FD contracts** share one multi-kernel jump from the
-      expiry row to the root (one batched rFFT pair for the whole group);
-    * **American tree contracts** run their trapezoid recursions in
-      lockstep (:func:`~repro.core.tree_solver.solve_tree_fft_batch`); puts
-      join the same batch as their McDonald–Schroder dual calls
+    * **European tree contracts** are the no-exercise-date Bermudan jump
+      chain (:func:`~repro.core.bermudan.price_tree_bermudan_fft`): one
+      jump from the expiry row to the root;
+    * **European FD puts** are one cone jump from the base row to the apex;
+    * **American tree contracts** run the trapezoid solver
+      (:func:`~repro.core.tree_solver.solve_tree_fft`); puts are solved as
+      their McDonald–Schroder dual calls
       (:func:`~repro.core.symmetry.canonicalize_right`);
-    * **American FD puts** run their cone recursions in lockstep
-      (:func:`~repro.core.bsm_solver.solve_bsm_fft_batch`);
+    * **American FD puts** run the cone solver
+      (:func:`~repro.core.bsm_solver.solve_bsm_fft`);
     * zero-dividend American tree calls take the closed form and skip the
       lattice entirely, unless ``record_boundary`` asks for the divider.
 
-    Batched rows transform exactly as their standalone advances, so a
-    contract's result does not depend on the batch it rides in.  Non-``fft``
-    methods have no batched kernel to share and run per contract.
+    With ``engine.telemetry`` set, a call that reaches the engine records
+    one ``solve`` span carrying ``contracts`` and the engine's ``advances``.
     Bermudan contracts need explicit dates — use :func:`price_bermudan`.
     """
     steps = check_integer("steps", steps, minimum=1)
     check_model_method(model, method)
     tree = model != "bsm-fd"
     results: list[Optional[PricingResult]] = [None] * len(specs)
-    euro_idx: list[int] = []
-    amer_idx: list[int] = []
+    lattice: list[int] = []
     for i, spec in enumerate(specs):
         if spec.style is Style.BERMUDAN:
             raise ValidationError(
@@ -431,7 +398,7 @@ def _lattice_price(
                 raise ValidationError(
                     "European pricing supports methods 'fft' and 'loop'"
                 )
-            euro_idx.append(i)
+            lattice.append(i)
         elif tree and not record_boundary and no_early_exercise_call(spec):
             # zero-dividend American call == European call == the closed
             # form; the whole O(T log²T) (or Θ(T²)) solve would only
@@ -443,60 +410,28 @@ def _lattice_price(
                 },
             )
         else:
-            amer_idx.append(i)
+            lattice.append(i)
 
     if method != "fft":
-        for i in euro_idx + amer_idx:
+        for i in lattice:
             results[i] = _loop_price(
                 specs[i], steps, model, method, lam, record_boundary
             )
         return results  # type: ignore[return-value]
-    if engine is None and (euro_idx or amer_idx):
+    if not lattice:
+        return results  # type: ignore[return-value]
+    if engine is None:
         engine = AdvanceEngine(policy)
-
-    if euro_idx:
-        euro_specs = [specs[i] for i in euro_idx]
-        euro_results = (
-            _batch_european_tree_fft(euro_specs, steps, model, engine)
-            if tree
-            else _batch_european_bsm_fft(euro_specs, steps, lam, engine)
-        )
-        for i, r in zip(euro_idx, euro_results):
-            results[i] = r
-    if amer_idx:
-        if tree:
-            cls = BinomialParams if model == "binomial" else TrinomialParams
-            folds = [canonicalize_right(specs[i], model) for i in amer_idx]
-            solved = solve_tree_fft_batch(
-                [cls.from_spec(s, steps) for s, _ in folds],
-                base=DEFAULT_BASE if base is None else base,
-                policy=policy,
-                engine=engine,
-                record_boundary=record_boundary,
+    tel = engine.telemetry
+    advances = engine.advances
+    with (
+        NULL_SPAN if tel is None else tel.span("solve", contracts=len(lattice))
+    ) as span:
+        for i in lattice:
+            results[i] = _fft_price(
+                specs[i], steps, model, base, lam, engine, record_boundary
             )
-            for i, (_, dualized), r in zip(amer_idx, folds, solved):
-                if dualized:
-                    r.meta["symmetric_dual_of"] = specs[i]
-                    r.meta["note"] = (
-                        "priced as the dual American call C(K, S, Y, R); "
-                        "exact on CRR lattices"
-                    )
-        else:
-            solved = solve_bsm_fft_batch(
-                [
-                    BSMGridParams.from_spec(specs[i], steps, lam=lam)
-                    for i in amer_idx
-                ],
-                base=DEFAULT_BSM_BASE if base is None else base,
-                policy=policy,
-                engine=engine,
-                record_boundary=record_boundary,
-            )
-        for i, r in zip(amer_idx, solved):
-            results[i] = PricingResult(
-                r.price, steps, model, "fft", r.workspan, r.stats.as_dict(),
-                r.boundary.points if r.boundary else None, r.meta,
-            )
+        span.set(advances=engine.advances - advances)
     return results  # type: ignore[return-value]
 
 
@@ -518,15 +453,12 @@ def price_many(
     coalesced service buckets all enter here).
     Each spec is priced per its own ``style`` (American or European;
     Bermudan contracts need explicit dates — use :func:`price_bermudan`).
-    On the default ``"lattice"`` backend all solves share one plan-caching
-    :class:`~repro.core.fftstencil.AdvanceEngine`, and with ``method="fft"``
-    contracts are grouped by *step schedule* (style), not by identical
-    spec, and each group marches in lockstep through multi-kernel
-    :meth:`~repro.core.fftstencil.AdvanceEngine.advance_batch` transforms —
-    a scenario grid or a Greek bump grid whose cells all differ in
-    vol/rate batches exactly as well as a strike strip on one underlying.
-    Every result equals the contract's lone :func:`price_american` /
-    :func:`price_european` answer.  Bit-identical repeated contracts are
+    On the default ``"lattice"`` backend each contract is a lone solve and
+    all of them share one plan-caching
+    :class:`~repro.core.fftstencil.AdvanceEngine`, so contracts on the
+    same lattice reuse each other's kernel spectra.  Every result equals
+    the contract's lone :func:`price_american` / :func:`price_european`
+    answer.  Bit-identical repeated contracts are
     solved once and the result fanned out in input order (duplicates carry
     ``meta["deduplicated_of"]``).
 
@@ -683,8 +615,8 @@ def exercise_boundary(
 class LatticeBackend:
     """The paper's solvers as a registered :class:`PricerBackend`.
 
-    ``price_spec`` is the B = 1 call and ``price_batch`` the batched call
-    of the one lattice dispatcher, so a lone contract and the same contract
+    ``price_spec`` is the B = 1 call and ``price_batch`` the batch call of
+    the one lattice dispatcher, so a lone contract and the same contract
     in a batch are priced by the same code.  Each prices the contracts it
     is given per their ``style`` and stamps ``meta["backend"]``.
     """
@@ -693,7 +625,6 @@ class LatticeBackend:
     tolerance = 0.0
     supports_boundary = True
     supports_divider = True
-    supports_batching = True
 
     def price_spec(
         self,

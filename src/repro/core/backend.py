@@ -7,11 +7,10 @@ the quote service — can route a request to *any* pricer without knowing
 its internals, and so approximate/exact tiering is expressible at all:
 
 ``"lattice"``
-    The paper's solvers: the O(T log²T) nonlinear-stencil recursions, the
-    Θ(T²) baselines, the lockstep batch solver.  ``tolerance == 0.0`` —
-    this backend *defines* exactness.  Its ``price_spec`` and
-    ``price_batch`` are the B = 1 and batched calls of the one lattice
-    dispatcher in :mod:`repro.core.api`, which
+    The paper's solvers: the nonlinear-stencil recursions and the Θ(T²)
+    baselines.  ``tolerance == 0.0`` — this backend *defines* exactness.
+    Its ``price_spec`` and ``price_batch`` are the B = 1 and batch calls
+    of the one lattice dispatcher in :mod:`repro.core.api`, which
     :func:`~repro.core.api.price_american` and
     :func:`~repro.core.api.price_many` reach through this registry.
 ``"spectral"``
@@ -25,9 +24,6 @@ can serve a request shape:
     ``price_spec(return_boundary=True)`` records the exercise divider.
 ``supports_divider``
     results can carry divider data at all (dense or sparse).
-``supports_batching``
-    ``price_batch`` is a genuine lockstep batch (multi-kernel
-    ``advance_batch`` transforms), not a loop over ``price_spec``.
 
 Registration is lazy: :func:`get_backend` imports the module that owns a
 known name on first use, so ``repro.core.backend`` itself imports no
@@ -67,7 +63,7 @@ class PricerBackend(Protocol):
         answer at the same ``steps`` (``0.0`` = exact).  Served quotes
         surface it as ``meta["tolerance"]`` so a consumer can decide
         whether an approximate tier is acceptable.
-    supports_boundary / supports_divider / supports_batching:
+    supports_boundary / supports_divider:
         Capability flags (module docstring).
     """
 
@@ -75,7 +71,6 @@ class PricerBackend(Protocol):
     tolerance: float
     supports_boundary: bool
     supports_divider: bool
-    supports_batching: bool
 
     def price_spec(
         self,

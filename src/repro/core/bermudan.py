@@ -7,9 +7,10 @@ expiry row to the root.  *Bermudan* contracts — exercisable on a finite set
 of dates, listed in the paper's future work (§6) — sit in between: the grid
 is linear between consecutive exercise rows, so the sweep is a chain of FFT
 jumps with one vectorised ``max`` per exercise date:
-``O((k+1) · T log T)`` work for ``k`` exercise dates.  Each solve is a
-generator whose jumps :func:`~repro.core.lockstep.drive_lockstep` batches
-across contracts; the exercise-date max runs inline.
+``O((k+1) · T log T)`` work for ``k`` exercise dates.  Each jump is one
+:meth:`~repro.core.fftstencil.AdvanceEngine.advance` call; the
+exercise-date max runs inline.  A European contract is the no-date case:
+one jump from the expiry row to the root.
 
 Unlike the American solvers these maintain *full* rows (the red–green
 contiguity lemmas do not apply between exercise dates), so no divider
@@ -24,12 +25,11 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from repro.core.fftstencil import DEFAULT_POLICY, AdvanceEngine, AdvancePolicy
-from repro.core.lockstep import AdvanceRequest, drive_lockstep
 from repro.core.metrics import SolveStats
 from repro.core.tree_solver import TreeFFTResult
 from repro.options.params import BinomialParams, TrinomialParams
 from repro.options.payoff import terminal_payoff
-from repro.parallel.workspan import WorkSpan, rows_cost
+from repro.parallel.workspan import rows_cost
 from repro.util.validation import ValidationError, check_integer
 
 TreeParams = Union[BinomialParams, TrinomialParams]
@@ -51,12 +51,23 @@ def _checkpoints(rows: Sequence[int]) -> list[int]:
     return checkpoints
 
 
-def _bermudan_gen(params: TreeParams, rows: list[int]):
-    """Generator body of one Bermudan/European jump-chain solve.
+def price_tree_bermudan_fft(
+    params: TreeParams,
+    exercise_steps: Sequence[int] = (),
+    *,
+    policy: AdvancePolicy = DEFAULT_POLICY,
+    engine: Optional[AdvanceEngine] = None,
+) -> TreeFFTResult:
+    """Bermudan (or, with no exercise steps, European) tree pricing via FFT.
 
-    Yields :class:`~repro.core.lockstep.AdvanceRequest` for the checkpoint
-    jumps and applies each exercise date's vectorised max inline.
+    Works for calls and puts — without the American free boundary there is
+    no divider orientation to respect.  Pass a shared ``engine`` to reuse
+    kernel spectra across same-parameter contracts (e.g. a strip of
+    strikes).
     """
+    rows = _validated_rows(params.steps, exercise_steps)
+    if engine is None:
+        engine = AdvanceEngine(policy)
     T = params.steps
     spec = params.spec
     q = len(params.taps) - 1
@@ -72,8 +83,8 @@ def _bermudan_gen(params: TreeParams, rows: list[int]):
     for row in _checkpoints(rows):
         h = current - row
         if h > 0:
-            values, rec = yield AdvanceRequest(
-                values, params.taps, h, spec.strike
+            values, rec = engine.advance(
+                values, params.taps, h, scale=spec.strike
             )
             stats.note_advance(rec.method, rec.input_len, rec.spectrum_hit)
             ws = ws.then(rec.workspan)
@@ -100,59 +111,3 @@ def _bermudan_gen(params: TreeParams, rows: list[int]):
         },
     )
 
-
-def price_tree_bermudan_fft(
-    params: TreeParams,
-    exercise_steps: Sequence[int] = (),
-    *,
-    policy: AdvancePolicy = DEFAULT_POLICY,
-    engine: Optional[AdvanceEngine] = None,
-) -> TreeFFTResult:
-    """Bermudan (or, with no exercise steps, European) tree pricing via FFT.
-
-    Works for calls and puts — without the American free boundary there is
-    no divider orientation to respect.  Pass a shared ``engine`` to reuse
-    kernel spectra across a batch of same-parameter contracts (e.g. a strip
-    of strikes).
-    """
-    return price_tree_bermudan_fft_batch(
-        [params], [exercise_steps], policy=policy, engine=engine
-    )[0]
-
-
-def price_tree_bermudan_fft_batch(
-    params_list: Sequence[TreeParams],
-    exercise_steps: Union[Sequence[int], Sequence[Sequence[int]]] = (),
-    *,
-    policy: AdvancePolicy = DEFAULT_POLICY,
-    engine: Optional[AdvanceEngine] = None,
-) -> list[TreeFFTResult]:
-    """Price B Bermudan/European tree contracts in lockstep.
-
-    ``exercise_steps`` is either one schedule shared by every contract or a
-    per-contract sequence of schedules (one entry per ``params_list``
-    element).  Checkpoint jumps batch through
-    :meth:`~repro.core.fftstencil.AdvanceEngine.advance_batch`; every
-    result is bit-identical to its ``price_tree_bermudan_fft`` twin.
-    """
-    es = list(exercise_steps)
-    if es and not isinstance(es[0], (int, np.integer)):
-        if len(es) != len(params_list):
-            raise ValidationError(
-                "per-contract exercise_steps must match params_list length: "
-                f"{len(es)} schedules for {len(params_list)} contracts"
-            )
-        schedules = [list(s) for s in es]
-    else:
-        schedules = [es] * len(params_list)
-    if engine is None:
-        engine = AdvanceEngine(policy)
-    gens = [
-        _bermudan_gen(params, _validated_rows(params.steps, sched))
-        for params, sched in zip(params_list, schedules)
-    ]
-    results: list[TreeFFTResult] = drive_lockstep(gens, engine)
-    for result in results:
-        result.meta["batched"] = True
-        result.meta["batch_size"] = len(results)
-    return results

@@ -34,7 +34,7 @@ def scan_prefix_boundary(mask: np.ndarray) -> int:
     """
     if mask.size == 0:
         return -1
-    first_false = int(np.argmin(mask))
+    first_false = int(mask.argmin())
     if mask[first_false]:  # no False at all
         return mask.size - 1
     return first_false - 1

@@ -11,8 +11,15 @@ at most one cell per time step.
 the tail-recursion chain it produces is exactly the trapezoid sequence of the
 paper's Figure 4b, and each level's internal split (recursive strip around
 the divider, FFT on the provably-red side, closed-form green fill) is the
-decomposition of Figure 4a, with work recurrence
-``zeta(l) = 2 zeta(l/2) + O(l log l) = O(l log^2 l)``.
+decomposition of Figure 4a.  The paper's work recurrence is
+``zeta(l) = 2 zeta(l/2) + O(l log l) = O(l log^2 l)``, but the tail call
+here keeps the window's full width ``w``, while the strip around the
+divider is ``2 l`` wide:
+``zeta(l, w) = zeta(l/2, 2 l) + zeta(l/2, w) + O(w log w)``.  One region
+pays ``log l`` FFTs over its whole width, so a solve does
+``Theta(T log^3 T)`` work.  Peeling the far block off in one jump and
+recursing only next to the divider restores the paper's bound (ROADMAP
+item 6).
 
 Divider bookkeeping uses *exact-or-left-of-window* semantics: an advance over
 window ``[k_lo..k_hi]`` returns ``(values on [k_lo+h .. k_hi-h], f')`` where
@@ -21,16 +28,15 @@ window ``[k_lo..k_hi]`` returns ``(values on [k_lo+h .. k_hi-h], f')`` where
 window".  The composition rules in :meth:`_BSMSolver.advance` preserve these
 semantics (see docs/DESIGN.md §2.4 for the case analysis).
 
-Every solve is a generator driven by
-:func:`~repro.core.lockstep.drive_lockstep`: it yields its linear jumps,
-which the driver batches across solves, and runs its naive rows inline at
-every batch width (docs/DESIGN.md §7.6).
+A solve is plain recursive code: every linear jump is one
+:meth:`~repro.core.fftstencil.AdvanceEngine.advance` call on the solve's
+engine, and the naive rows run inline (docs/DESIGN.md §7).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -42,7 +48,6 @@ from repro.core.fftstencil import (
     engine_delta as _engine_delta,
     row_correlate,
 )
-from repro.core.lockstep import AdvanceRequest, drive_lockstep
 from repro.core.metrics import SolveStats
 from repro.options.params import BSMGridParams
 from repro.parallel.workspan import WorkSpan, rows_cost
@@ -65,21 +70,21 @@ class BSMFFTResult:
 
 
 class _BSMSolver:
-    """One fft-bsm solve's state; :meth:`advance` is a generator that
-    yields :class:`~repro.core.lockstep.AdvanceRequest` for its linear
-    jumps (docs/DESIGN.md §7) and runs its naive rows inline."""
+    """One fft-bsm solve's state; every linear jump runs on ``engine``."""
 
     def __init__(
         self,
         params: BSMGridParams,
         base: int,
         recorder: Optional[BoundaryRecorder],
+        engine: AdvanceEngine,
     ):
         self.p = params
         self.taps = tuple(params.taps)  # (coef_down, coef_mid, coef_up)
         self.base = base
         self.stats = SolveStats()
         self.rec = recorder
+        self.engine = engine
         # Per-solve payoff table: the cone only reaches k in [-T, T], so
         # one vectorised exp up front turns every payoff() call — one per
         # naive row — into a slice.  Bit-identical to the per-call formula.
@@ -104,9 +109,8 @@ class _BSMSolver:
     def naive(self, values: np.ndarray, k_lo: int, f: int, h: int, n0: int):
         """``h`` max-rule rows over the shrinking cone window (base case).
 
-        Returns ``(values, f, workspan)``.  Every row runs inline — one
-        ``np.correlate``, one payoff slice, one divider scan — whatever
-        batch the solve rides in (docs/DESIGN.md §7.6).
+        Returns ``(values, f, workspan)``.  Every row runs inline: one
+        ``np.correlate``, one payoff slice, one divider scan.
         """
         cur = values
         lo = k_lo
@@ -137,9 +141,7 @@ class _BSMSolver:
         depth: int = 0,
     ) -> tuple[np.ndarray, int, WorkSpan]:
         """Advance the window ``h`` rows; see module docstring for semantics.
-
-        A generator: yields :class:`AdvanceRequest`, receives ``(values,
-        record)``, returns the usual ``(values, f, workspan)`` triple.
+        Returns ``(values, f, workspan)``.
 
         Precondition: ``len(values) >= 2h + 1``.
         """
@@ -149,7 +151,7 @@ class _BSMSolver:
 
         if f < k_lo:
             # Every cell of every involved row is red: one linear jump.
-            y, rec = yield AdvanceRequest(values, self.taps, h, 1.0)
+            y, rec = self.engine.advance(values, self.taps, h, scale=1.0)
             self.stats.note_advance(rec.method, rec.input_len, rec.spectrum_hit)
             return y, min(f, out_lo - 1), rec.workspan
 
@@ -166,7 +168,7 @@ class _BSMSolver:
         # ---- strip around the divider (recursive; Fig 4a's sub-trapezoid) --
         sub_lo = max(k_lo, f - 2 * h1)
         sub_hi = f + 2 * h1  # <= k_hi by the split guard
-        strip_vals, f_mid, ws_strip = yield from self.advance(
+        strip_vals, f_mid, ws_strip = self.advance(
             values[sub_lo - k_lo : sub_hi - k_lo + 1],
             sub_lo,
             f,
@@ -180,7 +182,7 @@ class _BSMSolver:
         # ---- provably-red block: everything right of the 45° line from f --
         fft_lo = max(f + h1, mid_lo)  # == f + h1 given the guard
         xin = values[(fft_lo - h1) - k_lo : (mid_hi + h1) - k_lo + 1]
-        y, rec = yield AdvanceRequest(xin, self.taps, h1, 1.0)
+        y, rec = self.engine.advance(xin, self.taps, h1, scale=1.0)
         self.stats.note_advance(rec.method, rec.input_len, rec.spectrum_hit)
         ws_fft = rec.workspan
 
@@ -203,25 +205,36 @@ class _BSMSolver:
         ws_half = ws_fft.beside(ws_strip)
 
         # ---- remaining h - h1 rows: same problem from the mid row ---------
-        out_vals, f_out, ws_rest = yield from self.advance(
+        out_vals, f_out, ws_rest = self.advance(
             mid_vals, mid_lo, f_mid, h - h1, n0 + h1, depth + 1
         )
         return out_vals, f_out, ws_half.then(ws_rest)
 
 
-def _bsm_solve_gen(
+def solve_bsm_fft(
     params: BSMGridParams,
-    base: int,
-    recorder: Optional[BoundaryRecorder],
-):
-    """Generator body of one fft-bsm solve.
+    *,
+    base: int = DEFAULT_BSM_BASE,
+    policy: AdvancePolicy = DEFAULT_POLICY,
+    engine: Optional[AdvanceEngine] = None,
+    record_boundary: bool = False,
+) -> BSMFFTResult:
+    """Price the American put of ``params.spec`` (see module docstring).
 
-    Yields :class:`~repro.core.lockstep.AdvanceRequest` for every linear
-    jump and returns the :class:`BSMFFTResult` (without the driver-supplied
-    ``meta["engine"]`` delta) via ``StopIteration``.
+    The answer is the apex value ``K * v[T, 0]`` of the dependency cone whose
+    base is the initial condition ``v[0, k] = max(1 - e^{s_k}, 0)`` on
+    ``k in [-T, T]`` (paper Fig 4b).  ``engine`` (default: fresh per solve)
+    carries the kernel-spectrum plan cache; share one across solves with
+    identical grid coefficients to amortise the kernel transforms further.
+    ``meta["engine"]`` reports this solve's own counter delta.
     """
+    base = check_integer("base", base, minimum=1)
+    if engine is None:
+        engine = AdvanceEngine(policy)
+    engine_before = engine.cache_info()
+    recorder = BoundaryRecorder() if record_boundary else None
     T = params.steps
-    solver = _BSMSolver(params, base, recorder)
+    solver = _BSMSolver(params, base, recorder, engine)
 
     pay0 = solver.payoff(-T, T)
     vals = np.maximum(pay0, 0.0)
@@ -247,7 +260,7 @@ def _bsm_solve_gen(
             remaining = 0
             break
         h = remaining // 2
-        vals, f, w = yield from solver.advance(vals, k_lo, f, h, n0)
+        vals, f, w = solver.advance(vals, k_lo, f, h, n0)
         ws = ws.then(w)
         k_lo += h
         n0 += h
@@ -266,66 +279,7 @@ def _bsm_solve_gen(
             "model": "bsm-fd",
             "base": base,
             "params": params,
+            "engine": _engine_delta(engine_before, engine.cache_info()),
         },
     )
 
-
-def solve_bsm_fft(
-    params: BSMGridParams,
-    *,
-    base: int = DEFAULT_BSM_BASE,
-    policy: AdvancePolicy = DEFAULT_POLICY,
-    engine: Optional[AdvanceEngine] = None,
-    record_boundary: bool = False,
-) -> BSMFFTResult:
-    """Price the American put of ``params.spec`` in ``O(T log^2 T)`` work.
-
-    The answer is the apex value ``K * v[T, 0]`` of the dependency cone whose
-    base is the initial condition ``v[0, k] = max(1 - e^{s_k}, 0)`` on
-    ``k in [-T, T]`` (paper Fig 4b).  ``engine`` (default: fresh per solve)
-    carries the kernel-spectrum plan cache; share one across solves with
-    identical grid coefficients to amortise the kernel transforms further.
-    """
-    return solve_bsm_fft_batch(
-        [params], base=base, policy=policy, engine=engine,
-        record_boundary=record_boundary,
-    )[0]
-
-
-def solve_bsm_fft_batch(
-    params_list: Sequence[BSMGridParams],
-    *,
-    base: int = DEFAULT_BSM_BASE,
-    policy: AdvancePolicy = DEFAULT_POLICY,
-    engine: Optional[AdvanceEngine] = None,
-    record_boundary: bool = False,
-) -> list[BSMFFTResult]:
-    """Price B American puts with B *different* FD grids in lockstep.
-
-    The multi-kernel sibling of
-    :func:`~repro.core.tree_solver.solve_tree_fft_batch`: each grid runs
-    its own cone recursion as a generator, and every round's outstanding
-    linear jumps are serviced by one
-    :meth:`~repro.core.fftstencil.AdvanceEngine.advance_batch` call; naive
-    rows run inline in each solve.  Each result is bit-identical to
-    ``solve_bsm_fft(params_list[i])``; ``meta["engine"]`` carries the
-    batch-wide engine delta and ``meta["batched"]``/``meta["batch_size"]``
-    the lockstep provenance.
-    """
-    base = check_integer("base", base, minimum=1)
-    if engine is None:
-        engine = AdvanceEngine(policy)
-    engine_before = engine.cache_info()
-    gens = [
-        _bsm_solve_gen(
-            params, base, BoundaryRecorder() if record_boundary else None
-        )
-        for params in params_list
-    ]
-    results: list[BSMFFTResult] = drive_lockstep(gens, engine)
-    delta = _engine_delta(engine_before, engine.cache_info())
-    for result in results:
-        result.meta["engine"] = delta
-        result.meta["batched"] = True
-        result.meta["batch_size"] = len(results)
-    return results

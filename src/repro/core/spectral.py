@@ -182,13 +182,19 @@ def tanhsinh_nodes(points: int, h: float) -> tuple:
     for ``k = -K..K`` with ``K = (points-1)//2`` — the weights decay
     doubly exponentially, so endpoint singularities in derivatives cost
     nothing extra.  Returns ``(y, w)`` ascending.
+
+    Far enough out, ``cosh`` overflows and the weight is exactly 0 (with
+    ``y`` rounded to ±1); those nodes add nothing to any sum and are
+    dropped, so a fine rule can return fewer than ``points`` nodes.
     """
     half = (points - 1) // 2
     k = np.arange(-half, half + 1, dtype=np.float64)
-    s = 0.5 * np.pi * np.sinh(k * h)
-    y = np.tanh(s)
-    w = 0.5 * np.pi * h * np.cosh(k * h) / np.cosh(s) ** 2
-    return y, w
+    with np.errstate(over="ignore"):
+        s = 0.5 * np.pi * np.sinh(k * h)
+        y = np.tanh(s)
+        w = 0.5 * np.pi * h * np.cosh(k * h) / np.cosh(s) ** 2
+    keep = w > 0.0
+    return y[keep], w[keep]
 
 
 def _d_pm(t: np.ndarray, ratio: np.ndarray, r: float, q: float,
@@ -319,10 +325,9 @@ class SpectralBackend:
     """:class:`~repro.core.backend.PricerBackend` over :class:`SpectralPlan`.
 
     ``price_spec`` answers any American (or European) contract within
-    :data:`SPECTRAL_TOL`; ``price_batch`` loops ``price_spec`` (no
-    lockstep kernel — ``supports_batching`` is ``False``) but shares the
-    plan cache, so ladders over one market state amortise the boundary
-    solve.  No divider is produced (``supports_boundary`` /
+    :data:`SPECTRAL_TOL`; ``price_batch`` loops ``price_spec`` but
+    shares the plan cache, so ladders over one market state amortise the
+    boundary solve.  No divider is produced (``supports_boundary`` /
     ``supports_divider`` are ``False``; ``return_boundary=True`` is a
     :class:`ValidationError`, not a silent empty answer).
     """
@@ -331,7 +336,6 @@ class SpectralBackend:
     tolerance = SPECTRAL_TOL
     supports_boundary = False
     supports_divider = False
-    supports_batching = False
 
     def __init__(self, *, order: int = DEFAULT_ORDER,
                  quad_points: int = DEFAULT_QUAD_POINTS,

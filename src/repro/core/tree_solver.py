@@ -1,8 +1,8 @@
 """fft-bopm / fft-topm: the paper's trapezoid-decomposition solvers (§2.3, §3).
 
 American *call* pricing on binomial (2-tap, q=1) and trinomial (3-tap, q=2)
-lattices in ``O(T log^2 T)`` work and ``O(T)`` span.  The algorithm exploits
-the red–green divider structure (Corollary 2.7 / A.6):
+lattices with ``O(T)`` span.  The algorithm exploits the red–green divider
+structure (Corollary 2.7 / A.6):
 
 * every row is a red prefix ``[0..j_i]`` (continuation) followed by a green
   suffix (exercise, closed form ``S u^{...} - K``);
@@ -31,21 +31,27 @@ the divider moves by at most one), solves it with
        block is then not provably red, and the whole trapezoid descends
        naively instead.
     3. The remaining h2 = ell - h rows are the same problem from the mid row
-       — solved by a tail-recursive trapezoid call, which reproduces the
-       paper's two-FFT + two-recursive-call structure when unrolled and the
-       recurrence zeta(ell) = 2 zeta(ell/2) + O(ell log ell).
+       — solved by a tail-recursive trapezoid call on the window's *full*
+       width w, not on the ~q*ell cells the divider can reach.
     4. Heights <= ``base`` (paper's empirical optimum: 8) descend naively.
+
+Work.  The paper's two-FFT + two-recursive-call structure gives
+zeta(ell) = 2 zeta(ell/2) + O(ell log ell) = O(T log^2 T).  Step 3 keeps
+the width, so this code runs zeta(ell, w) = zeta(ell/2, q*ell/2) +
+zeta(ell/2, w) + O(w log w): one trapezoid pays log ell FFTs over its whole
+width, Theta(T log^3 T) per solve (work / (T log^3 T) measures flat at
+0.61–0.73 over T = 512 … 32768).  Peeling the far block off in one advance
+and recursing only next to the divider restores the paper's bound
+(ROADMAP item 6).
 
 Puts are *not* handled here: their divider is mirrored.  Use
 :func:`repro.core.api.price_american`, which solves a put as its dual call
 (exact put–call symmetry, :mod:`repro.core.symmetry`), or the vanilla
 solvers.
 
-Every solve is a generator driven by
-:func:`~repro.core.lockstep.drive_lockstep`: it yields its linear advances,
-which the driver batches across solves, and runs its naive base rows
-inline at every batch width (docs/DESIGN.md §7.6).  A lone solve
-(:func:`solve_tree_fft`) is the B = 1 case of :func:`solve_tree_fft_batch`.
+A solve is plain recursive code: every linear advance is one
+:meth:`~repro.core.fftstencil.AdvanceEngine.advance` call on the solve's
+engine, and the naive base rows run inline (docs/DESIGN.md §7).
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ from __future__ import annotations
 import math as _math
 from dataclasses import dataclass, field
 from math import isqrt
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -65,7 +71,6 @@ from repro.core.fftstencil import (
     engine_delta as _engine_delta,
     row_correlate,
 )
-from repro.core.lockstep import AdvanceRequest, drive_lockstep
 from repro.core.metrics import SolveStats
 from repro.options.contract import Right, Style
 from repro.options.params import BinomialParams, TrinomialParams
@@ -91,20 +96,15 @@ class TreeFFTResult:
 
 
 class _TreeSolver:
-    """One solve's worth of state for the trapezoid decomposition.
-
-    :meth:`solve_trapezoid` is a *generator* (docs/DESIGN.md §7): it yields
-    :class:`~repro.core.lockstep.AdvanceRequest` objects for its linear
-    advances and receives ``(values, record)`` back, so the same solver
-    code runs alone or in lockstep with B sibling solves (one
-    ``advance_batch`` call per round).  The naive base rows run inline.
-    """
+    """One solve's worth of state for the trapezoid decomposition; every
+    linear advance runs on ``engine``."""
 
     def __init__(
         self,
         params: TreeParams,
         base: int,
         recorder: Optional[BoundaryRecorder],
+        engine: AdvanceEngine,
     ):
         self.p = params
         self.taps = tuple(params.taps)
@@ -112,6 +112,7 @@ class _TreeSolver:
         self.base = base
         self.stats = SolveStats()
         self.rec = recorder
+        self.engine = engine
         self.scale = params.spec.strike
         # Inlined green-value constants: green(i, j) = S * u^(alpha*j - i) - K
         # with alpha = 2 (binomial, price S u^{2j-i}) or 1 (trinomial,
@@ -168,8 +169,7 @@ class _TreeSolver:
         Returns the red values on ``[c0..j_bot]`` of row ``i_top - ell``,
         the divider ``j_bot`` (``c0 - 1`` when no red cell remains at or
         right of ``c0``) and the descent's work/span.  Every row runs
-        inline — one ``np.correlate``, one green slice, one divider scan —
-        whatever batch the solve rides in (docs/DESIGN.md §7.6).
+        inline: one ``np.correlate``, one green slice, one divider scan.
         """
         q = self.q
         rec = self.rec
@@ -225,11 +225,8 @@ class _TreeSolver:
         ell: int,
         depth: int = 0,
     ) -> tuple[np.ndarray, int, WorkSpan]:
-        """Solve a trapezoid of height ``ell`` (see module docstring).
-
-        A generator: yields :class:`AdvanceRequest`, receives ``(values,
-        record)``; its return value (via ``StopIteration``) is the usual
-        ``(vals, j_bot, workspan)`` triple.
+        """Solve a trapezoid of height ``ell`` (see module docstring);
+        returns ``(vals, j_bot, workspan)``.
 
         Preconditions (maintained by the driver and recursion):
         ``vals`` covers exactly the red columns ``[c0..j_top]`` of row
@@ -254,7 +251,7 @@ class _TreeSolver:
             x = np.concatenate([vals, self.green(i_top, j_top + 1, ext_hi)])
         else:
             x = vals
-        y_fft, rec = yield AdvanceRequest(x, self.taps, h, self.scale)
+        y_fft, rec = self.engine.advance(x, self.taps, h, scale=self.scale)
         self.stats.note_advance(rec.method, rec.input_len, rec.spectrum_hit)
         ws_fft = rec.workspan
         # y_fft covers columns [c0 .. hi_fft] of row i_mid.
@@ -268,7 +265,7 @@ class _TreeSolver:
             self._record(i_mid, j_mid, c0)
         else:
             c0_sub = j_top - q * h + 1
-            sub_vals, j_mid, ws_sub = yield from self.solve_trapezoid(
+            sub_vals, j_mid, ws_sub = self.solve_trapezoid(
                 i_top, c0_sub, vals[c0_sub - c0 :], j_top, h, depth + 1
             )
             if j_mid < hi_fft:
@@ -287,7 +284,7 @@ class _TreeSolver:
 
         # -------- 3. remaining ell - h rows: same problem from mid row --- #
         h2 = ell - h
-        out_vals, j_bot, ws_rest = yield from self.solve_trapezoid(
+        out_vals, j_bot, ws_rest = self.solve_trapezoid(
             i_mid, c0, mid_vals, j_mid, h2, depth + 1
         )
         return out_vals, j_bot, ws_half.then(ws_rest)
@@ -306,19 +303,54 @@ def _validate_tree_solve(params: TreeParams) -> None:
         )
 
 
-def _tree_solve_gen(
+def solve_tree_fft(
     params: TreeParams,
-    base: int,
-    tail: int,
-    recorder: Optional[BoundaryRecorder],
-):
-    """Generator body of one fft-bopm/fft-topm solve.
+    *,
+    base: int = DEFAULT_BASE,
+    tail: Optional[int] = None,
+    policy: AdvancePolicy = DEFAULT_POLICY,
+    engine: Optional[AdvanceEngine] = None,
+    record_boundary: bool = False,
+) -> TreeFFTResult:
+    """Price an American call on a tree lattice (see module docstring).
 
-    Yields :class:`~repro.core.lockstep.AdvanceRequest` for every linear
-    advance and returns the :class:`TreeFFTResult` (without the
-    driver-supplied ``meta["engine"]`` delta) via ``StopIteration``.
+    Parameters
+    ----------
+    params:
+        :class:`BinomialParams` (fft-bopm) or :class:`TrinomialParams`
+        (fft-topm); must describe a *call* (see module docstring for puts).
+    base:
+        Recursion base-case height (paper: 8 is empirically best; the
+        ablation benchmark sweeps this).
+    tail:
+        Switch to the naive sweep when this many rows remain; default
+        ``max(base, isqrt(T))`` — the paper's leftover-sqrt(T)-triangle rule,
+        keeping the naive tail at O(T) work.
+    policy:
+        FFT-vs-direct robustness policy for the linear advances (ignored
+        when ``engine`` is supplied — the engine carries its own).
+    engine:
+        Plan-caching :class:`~repro.core.fftstencil.AdvanceEngine` to run
+        the linear advances on.  Default: a fresh engine per solve.  Pass a
+        shared engine to amortise kernel spectra across solves with
+        identical lattice parameters (see ``price_many``);
+        ``meta["engine"]`` reports this solve's own counter delta.
+    record_boundary:
+        Collect the divider positions the algorithm learns exactly
+        (trapezoid interfaces + naive rows) into a
+        :class:`~repro.core.boundary.BoundaryRecorder`.
     """
-    solver = _TreeSolver(params, base, recorder)
+    _validate_tree_solve(params)
+    base = check_integer("base", base, minimum=1)
+    if tail is None:
+        tail = max(base, isqrt(params.steps))
+    else:
+        tail = check_integer("tail", tail, minimum=1)
+    if engine is None:
+        engine = AdvanceEngine(policy)
+    engine_before = engine.cache_info()
+    recorder = BoundaryRecorder() if record_boundary else None
+    solver = _TreeSolver(params, base, recorder, engine)
     q = solver.q
     T = params.steps
 
@@ -362,7 +394,7 @@ def _tree_solve_gen(
             vals, jb, w = solver.naive_descend(i, 0, vals, jb, step_rows)
             i -= step_rows
         else:
-            vals, jb, w = yield from solver.solve_trapezoid(i, 0, vals, jb, ell)
+            vals, jb, w = solver.solve_trapezoid(i, 0, vals, jb, ell)
             i -= ell
             if recorder is not None and jb >= 0:
                 recorder.record(i, jb)
@@ -382,101 +414,7 @@ def _tree_solve_gen(
             "base": base,
             "tail": tail,
             "params": params,
+            "engine": _engine_delta(engine_before, engine.cache_info()),
         },
     )
 
-
-def solve_tree_fft(
-    params: TreeParams,
-    *,
-    base: int = DEFAULT_BASE,
-    tail: Optional[int] = None,
-    policy: AdvancePolicy = DEFAULT_POLICY,
-    engine: Optional[AdvanceEngine] = None,
-    record_boundary: bool = False,
-) -> TreeFFTResult:
-    """Price an American call on a tree lattice in ``O(T log^2 T)`` work.
-
-    Parameters
-    ----------
-    params:
-        :class:`BinomialParams` (fft-bopm) or :class:`TrinomialParams`
-        (fft-topm); must describe a *call* (see module docstring for puts).
-    base:
-        Recursion base-case height (paper: 8 is empirically best; the
-        ablation benchmark sweeps this).
-    tail:
-        Switch to the naive sweep when this many rows remain; default
-        ``max(base, isqrt(T))`` — the paper's leftover-sqrt(T)-triangle rule,
-        keeping the naive tail at O(T) work.
-    policy:
-        FFT-vs-direct robustness policy for the linear advances (ignored
-        when ``engine`` is supplied — the engine carries its own).
-    engine:
-        Plan-caching :class:`~repro.core.fftstencil.AdvanceEngine` to run
-        the linear advances on.  Default: a fresh engine per solve.  Pass a
-        shared engine to amortise kernel spectra across a batch of solves
-        with identical lattice parameters (see ``price_many``).
-    record_boundary:
-        Collect the divider positions the algorithm learns exactly
-        (trapezoid interfaces + naive rows) into a
-        :class:`~repro.core.boundary.BoundaryRecorder`.
-    """
-    return solve_tree_fft_batch(
-        [params], base=base, tail=tail, policy=policy, engine=engine,
-        record_boundary=record_boundary,
-    )[0]
-
-
-def solve_tree_fft_batch(
-    params_list: Sequence[TreeParams],
-    *,
-    base: int = DEFAULT_BASE,
-    tail: Optional[int] = None,
-    policy: AdvancePolicy = DEFAULT_POLICY,
-    engine: Optional[AdvanceEngine] = None,
-    record_boundary: bool = False,
-) -> list[TreeFFTResult]:
-    """Price B American calls with B *different* lattices in lockstep.
-
-    Each parameter set gets its own trapezoid recursion (its own divider
-    trajectory, recursion shape and statistics), but the B recursions run
-    as generators serviced round-by-round through
-    :meth:`~repro.core.fftstencil.AdvanceEngine.advance_batch` — one
-    batched ``rfft``/row-multiply/``irfft`` per round instead of B
-    Python-level engine calls; each solve runs its naive base rows inline.
-    Every row of every batched call is bit-identical to its one-row twin,
-    so each returned result equals ``solve_tree_fft(params_list[i])``
-    bit-for-bit.
-
-    ``tail=None`` resolves per solve to ``max(base, isqrt(T))`` — mixed
-    step counts are allowed (they simply desynchronise the rounds).
-    ``meta["engine"]`` on every result carries the *batch-wide* engine
-    delta (the transforms are shared, so per-solve attribution is not
-    meaningful); ``meta["batched"]``/``meta["batch_size"]`` mark the
-    lockstep provenance.
-    """
-    for params in params_list:
-        _validate_tree_solve(params)
-    base = check_integer("base", base, minimum=1)
-    if tail is not None:
-        tail = check_integer("tail", tail, minimum=1)
-    if engine is None:
-        engine = AdvanceEngine(policy)
-    engine_before = engine.cache_info()
-    gens = [
-        _tree_solve_gen(
-            params,
-            base,
-            tail if tail is not None else max(base, isqrt(params.steps)),
-            BoundaryRecorder() if record_boundary else None,
-        )
-        for params in params_list
-    ]
-    results: list[TreeFFTResult] = drive_lockstep(gens, engine)
-    delta = _engine_delta(engine_before, engine.cache_info())
-    for result in results:
-        result.meta["engine"] = delta
-        result.meta["batched"] = True
-        result.meta["batch_size"] = len(results)
-    return results

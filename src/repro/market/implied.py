@@ -39,7 +39,7 @@ whole ladder converges in about three solves per quote
 (``benchmarks/bench_implied.py`` measures the batch-vs-naive speedup).
 The chain is sequential because a quote can only start from a neighbour
 that is already fitted; pricing a ladder's evaluations in batched rounds
-instead costs more solves than the batching saves (docs/DESIGN.md §7.5).
+instead costs more solves than the batching saves (docs/DESIGN.md §7.3).
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Unified telemetry layer: metrics registry, span tracing, exporters.
 
 One :class:`Telemetry` object carries a :class:`MetricsRegistry` and a
-:class:`Tracer` through the whole stack — engine, lockstep driver, risk
+:class:`Tracer` through the whole stack — engine, lattice dispatcher, risk
 dispatch, quote service, breakers.  Construction::
 
     from repro.obs import Telemetry

@@ -3,12 +3,11 @@
 The span taxonomy (docs/DESIGN.md §9) mirrors the call structure of the
 stack rather than inventing a new vocabulary::
 
-    quote  -> canonicalize | cache_lookup | bucket_solve
-    solve  -> lockstep_round -> advance_batch
-    grid   -> dispatch -> chunk
+    quote  -> canonicalize | cache_lookup | bucket_solve -> solve
+    grid   -> dispatch -> chunk -> solve
 
-Spans are deliberately coarse — one per *round* or *phase*, never one per
-row — so tracing stays affordable on the hot solve path.  A
+Spans are deliberately coarse — one per *phase*, never one per advance
+or row — so tracing stays affordable on the hot solve path.  A
 :class:`Tracer` keeps a per-thread stack of open spans, retains the last
 few finished root traces for :meth:`Tracer.to_json`, and aggregates
 ``(count, total, self)`` wall time per span name continuously so
@@ -33,7 +32,7 @@ Clock = Callable[[], float]
 class Span:
     """One timed region.  Use as a context manager::
 
-        with tracer.span("advance_batch", rows=12) as sp:
+        with tracer.span("solve", contracts=12) as sp:
             ...
             sp.set(points=n)
 
@@ -113,8 +112,8 @@ class Tracer:
     cannot grow an unbounded trace tree; the per-name aggregate is updated
     for *every* span regardless of retention.  Both caps are constructor
     parameters (reachable through :class:`repro.obs.Telemetry` too) —
-    exemplar capture of deep solves (``steps=2048`` means thousands of
-    lockstep rounds) raises ``max_children`` above the service default.
+    exemplar capture of wide traces raises ``max_children`` above the
+    service default.
     """
 
     def __init__(

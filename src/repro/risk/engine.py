@@ -12,10 +12,9 @@ Execution model
 A grid's cells are split into contiguous chunks (deterministic: chunk
 boundaries depend only on the cell count and the chunk size, never on
 completion order) and each chunk is priced by one worker through
-:func:`repro.core.api.price_many`, so every chunk shares one plan-caching
-:class:`~repro.core.fftstencil.AdvanceEngine` and European cells keep the
-batched-transform fast path.  Three backends share the same API and produce
-identical results:
+:func:`repro.core.api.price_many`, so every chunk's solves share one
+plan-caching :class:`~repro.core.fftstencil.AdvanceEngine`.  Three backends
+share the same API and produce identical results:
 
 ``process``
     ``ProcessPoolExecutor`` — real multicore, the default.  Each worker
@@ -34,8 +33,8 @@ identical results:
 Every grid, on every backend, runs through one dispatch loop
 (:meth:`ScenarioEngine._dispatch`): each chunk is one batched
 ``price_many`` call, and only a failed chunk walks the recovery ladder
-(retry, isolate, mark), so resilient grids keep the lockstep batching
-plain ones get.  Result ordering is always the flat grid order regardless
+(retry, isolate, mark), so resilient grids keep the chunking and the
+shared engine plain ones get.  Result ordering is always the flat grid order regardless
 of backend or completion order.
 """
 
@@ -392,8 +391,9 @@ class ScenarioEngine:
     finished cell keeps its bit-exact price, unfinished cells carry an
     explicit timeout marker
     (:func:`repro.resilience.markers.timeout_result`).  Preemption is per
-    chunk on every backend — lockstep solves finish together, so a chunk
-    preempted mid-solve times out whole.  With all three unset a failure,
+    chunk on every backend — a chunk is one ``price_many`` call, which
+    returns all of its results or none, so a chunk preempted mid-solve
+    times out whole.  With all three unset a failure,
     a corrupted row included, propagates at once.
     """
 
@@ -798,8 +798,9 @@ class ScenarioEngine:
         def fail(lo: int, hi: int, attempt: int, exc: Exception) -> list:
             """Walk the ladder; returns the follow-up dispatches."""
             if deadline is not None and isinstance(exc, DeadlineExceeded):
-                # the inline checkpoint fired: lockstep solves finish
-                # together, so the whole span times out
+                # the inline checkpoint fired inside the span's one
+                # price_many call, which returns nothing, so the whole
+                # span times out
                 expire(lo, hi, "preempted mid-solve")
                 return []
             if retry is None:

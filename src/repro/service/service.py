@@ -22,12 +22,10 @@ The serving pipeline (docs/DESIGN.md §5) is
   :func:`repro.core.api.price_many` batch — on the service's
   plan-caching :class:`~repro.core.fftstencil.AdvanceEngine`, or
   (``workers > 1``) fanned across a
-  :class:`~repro.risk.engine.ScenarioEngine` worker pool.  Since the
-  lockstep batch solver landed, a coalesced bucket needs no kernel
-  overlap to batch: every bucket marches through the lattice dispatcher's
-  multi-kernel ``advance_batch`` transforms, cells with *different*
-  vols/rates included (European jumps and American trapezoid recursions
-  alike).
+  :class:`~repro.risk.engine.ScenarioEngine` worker pool.  A bucket is a
+  loop of lone solves on that one engine, so cells on the same lattice
+  reuse each other's kernel spectra and cells with *different* vols/rates
+  simply solve one after another.
 
 Identical in-flight requests are merged: a cold key claims its queued
 submit, rides a solve of it already running elsewhere, or registers its
@@ -268,11 +266,11 @@ class QuoteService:
         Optional :class:`repro.obs.Telemetry`.  When enabled, the service
         records quote latency histograms per serve outcome
         (hit/miss/merged/stale), breaker state transitions, and
-        ``quote → canonicalize / cache_lookup / bucket_solve`` spans; the
-        cache, service and engine counter dicts re-register into the
-        registry as collectors, and :meth:`stats` gains a ``telemetry``
-        section.  ``None`` (or a disabled handle) costs the hot path one
-        attribute test.
+        ``quote → canonicalize / cache_lookup / bucket_solve → solve``
+        spans; the cache, service and engine counter dicts re-register
+        into the registry as collectors, and :meth:`stats` gains a
+        ``telemetry`` section.  ``None`` (or a disabled handle) costs the
+        hot path one attribute test.
     exemplars:
         With telemetry enabled, retain this many *slowest* quotes per
         serve outcome (hit/miss/merged/stale) as exemplars: the quote's

@@ -83,58 +83,6 @@ class TestEngineEquivalence:
         assert info["spectrum_hits"] == 5 and info["spectrum_misses"] == 1
 
 
-class TestAdvanceMany:
-    """Same-kernel batches (the portfolio case) through advance_batch."""
-
-    @pytest.mark.parametrize("mode", ["auto", "fft", "direct"])
-    def test_batched_matches_sequential(self, mode):
-        """Mixed lengths; batched outputs == per-input engine advances."""
-        rng = np.random.default_rng(11)
-        h = 20
-        xs = [
-            rng.uniform(0, 50.0, size=n)
-            for n in (2 * h + 1, 2 * h + 1, 3 * h + 7, 2 * h + 1, 5 * h)
-        ]
-        policy = AdvancePolicy(mode=mode)
-        ys, rec = AdvanceEngine(policy).advance_batch(
-            xs, [(TAPS_3, h)] * len(xs), scales=50.0
-        )
-        assert rec.batch == len(xs)
-        for x, y in zip(xs, ys):
-            y_ref, _ = AdvanceEngine(policy).advance(x, TAPS_3, h, scale=50.0)
-            np.testing.assert_array_equal(y, y_ref)
-
-    def test_h0_and_empty(self):
-        engine = AdvanceEngine()
-        ys, rec = engine.advance_batch(
-            [np.ones(4), np.zeros(6)], [(TAPS_2, 0)] * 2
-        )
-        assert [len(y) for y in ys] == [4, 6] and rec.method == "copy"
-        ys, rec = engine.advance_batch([], [])
-        assert ys == [] and rec.batch == 0
-
-    def test_same_length_inputs_share_one_spectrum(self):
-        rng = np.random.default_rng(2)
-        engine = AdvanceEngine(AdvancePolicy(mode="fft"))
-        xs = [rng.uniform(0, 1.0, size=300) for _ in range(8)]
-        engine.advance_batch(xs, [(TAPS_2, 60)] * 8)
-        info = engine.cache_info()
-        assert info["spectrum_misses"] == 1
-        assert info["batched_inputs"] == 8
-
-    def test_mixed_group_record_counts_exactly(self):
-        """Record carries per-group hit/miss counts; all-hit only when true."""
-        rng = np.random.default_rng(4)
-        engine = AdvanceEngine(AdvancePolicy(mode="fft"))
-        engine.advance(rng.uniform(0, 1.0, size=300), TAPS_2, 60)  # warm len 300
-        xs = [rng.uniform(0, 1.0, size=n) for n in (300, 300, 450)]
-        _, rec = engine.advance_batch(xs, [(TAPS_2, 60)] * 3)
-        assert rec.spectrum_hits == 1 and rec.spectrum_misses == 1
-        assert rec.spectrum_hit is False  # one group missed
-        _, rec2 = engine.advance_batch(xs, [(TAPS_2, 60)] * 3)
-        assert rec2.spectrum_hit is True and rec2.spectrum_misses == 0
-
-
 class TestEngineInSolvers:
     def test_solve_tree_fft_reuses_spectra(self):
         """Regression: a T=4096 solve must hit the kernel-spectrum cache."""
@@ -230,7 +178,7 @@ class TestPriceMany:
         for spec, r in zip(specs, results):
             if spec.style is Style.EUROPEAN:
                 ref = price_european(spec, 256).price
-                assert r.meta.get("batched") is True
+                assert r.meta["style"] == "european"
             else:
                 ref = price_american(spec, 256).price
             assert r.price == pytest.approx(ref, rel=1e-10)
@@ -247,7 +195,6 @@ class TestPriceMany:
         ]
         results = price_many(specs, 512)
         assert sum(r.stats["spectrum_misses"] for r in results) == 1
-        assert all(r.meta["batch_size"] == 4 for r in results)
 
 
 class TestEngineCache:
@@ -267,10 +214,10 @@ class TestEngineCache:
         for k in range(40):
             taps = (0.2, 0.5 + k * 1e-3, 0.25)
             xs = [
-                rng.uniform(0.0, 100.0, size=n_fft),  # fft group of two
+                rng.uniform(0.0, 100.0, size=n_fft),  # two fft advances
                 rng.uniform(0.0, 100.0, size=n_fft),
                 rng.uniform(0.0, 1e18, size=900),  # guard trips: direct
-                rng.uniform(0.0, 100.0, size=60 + k),  # ragged direct stack
+                rng.uniform(0.0, 100.0, size=60 + k),  # short kernels: direct
                 rng.uniform(0.0, 100.0, size=95),
             ]
             kernels = [
@@ -278,12 +225,14 @@ class TestEngineCache:
                 (taps, 4), (TAPS_2, 8),
             ]
             scales = [None, None, 1.0, None, None]
-            outs, rec = engine.advance_batch(xs, kernels, scales=scales)
-            assert [r.method for r in rec.rows] == ["fft"] * 2 + ["direct"] * 3
-            assert engine.cache_info()["cached_bytes"] <= budget + newest
-            for x, (t, h), s, y in zip(xs, kernels, scales, outs):
+            methods = []
+            for x, (t, h), s in zip(xs, kernels, scales):
+                y, rec = engine.advance(x, t, h, scale=s)
+                methods.append(rec.method)
+                assert engine.cache_info()["cached_bytes"] <= budget + newest
                 y_ref, _ = AdvanceEngine().advance(x, t, h, scale=s)
                 np.testing.assert_array_equal(y, y_ref)
+            assert methods == ["fft"] * 2 + ["direct"] * 3
             if first_fft is None:
                 first_fft = (xs[0], kernels[0])
         # the first kernel's spectrum was evicted long ago

@@ -37,7 +37,7 @@ class TestNoEarlyExerciseShortcut:
             raise AssertionError("lattice solver called for a closed-form case")
 
         for name in (
-            "solve_tree_fft_batch", "price_binomial", "price_trinomial",
+            "solve_tree_fft", "price_binomial", "price_trinomial",
         ):
             monkeypatch.setattr(api, name, boom)
 
@@ -277,13 +277,13 @@ class TestPriceManyDedup:
         from repro.core.api import price_many
 
         solved = []
-        real = api_module.solve_tree_fft_batch
+        real = api_module.solve_tree_fft
 
-        def counting(params_list, **kwargs):
-            solved.extend(params_list)
-            return real(params_list, **kwargs)
+        def counting(params, **kwargs):
+            solved.append(params)
+            return real(params, **kwargs)
 
-        monkeypatch.setattr(api_module, "solve_tree_fft_batch", counting)
+        monkeypatch.setattr(api_module, "solve_tree_fft", counting)
         other = dataclasses.replace(SPEC, strike=120.0)
         specs = [SPEC, other, SPEC, SPEC, other]
         results = price_many(specs, 64)
@@ -302,17 +302,17 @@ class TestPriceManyDedup:
         from repro.core.api import price_many
         from repro.core.fftstencil import AdvanceEngine
 
-        batch_sizes = []
-        real = AdvanceEngine.advance_batch
+        calls = []
+        real = AdvanceEngine.advance
 
-        def counting(self, xs, kernels, **kwargs):
-            batch_sizes.append(len(xs))
-            return real(self, xs, kernels, **kwargs)
+        def counting(self, x, taps, h, **kwargs):
+            calls.append(h)
+            return real(self, x, taps, h, **kwargs)
 
-        monkeypatch.setattr(AdvanceEngine, "advance_batch", counting)
+        monkeypatch.setattr(AdvanceEngine, "advance", counting)
         euro = SPEC.with_style(Style.EUROPEAN)
         results = price_many([euro, euro, euro], 64)
-        assert batch_sizes == [1]  # three requests, one stacked transform row
+        assert calls == [64]  # three requests, one expiry-to-root jump
         assert results[0].price == results[1].price == results[2].price
 
     def test_duplicate_results_do_not_alias(self):

@@ -1,30 +1,27 @@
-"""Lockstep ``price_many`` vs per-option pricing: bit-level agreement.
+"""``price_many`` vs per-option pricing: bit-level agreement.
 
-The batch solver's contract is strict: because a batched real FFT
-transforms each row exactly as the standalone 1-D transform does, every
-result must equal the per-contract ``price_american`` / ``price_european``
-solve **bit for bit** (the tests still allow 1e-12 relative headroom so a
-platform with a different pocketfft vectorisation cannot flake them).
-The solver-level classes compare with strict ``==``: prices, divider
-sequences and recursion statistics of a batched solve equal its lone
-twin's, trees, FD grids and Bermudan jump chains alike.
+A batch is a loop of lone solves on one shared plan-caching engine, and a
+cached kernel spectrum is the same array a fresh engine would compute, so
+every result must equal the per-contract ``price_american`` /
+``price_european`` solve **bit for bit** (the property tests still allow
+1e-12 relative headroom so a platform with a different pocketfft
+vectorisation cannot flake them).  The solver-level classes compare with
+strict ``==``: prices, divider sequences and recursion statistics of a
+solve on a shared engine equal its lone twin's, trees, FD grids and
+Bermudan jump chains alike.
 """
 
 import dataclasses
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.api import price_american, price_european, price_many
-from repro.core.bermudan import (
-    price_tree_bermudan_fft,
-    price_tree_bermudan_fft_batch,
-)
-from repro.core.bsm_solver import solve_bsm_fft, solve_bsm_fft_batch
+from repro.core.bermudan import price_tree_bermudan_fft
+from repro.core.bsm_solver import solve_bsm_fft
 from repro.core.fftstencil import AdvanceEngine
-from repro.core.tree_solver import solve_tree_fft, solve_tree_fft_batch
+from repro.core.tree_solver import solve_tree_fft
 from repro.options.contract import OptionSpec, Right, Style, paper_benchmark_spec
 from repro.options.params import BinomialParams, BSMGridParams, TrinomialParams
 
@@ -90,11 +87,8 @@ class TestTreeModels:
         ]
         engine = AdvanceEngine()
         results = price_many(specs, 128, model=model, engine=engine)
-        info = engine.cache_info()
-        assert info["batched_inputs"] > info["advances"]  # rounds ran wide
         for spec, r in zip(specs, results):
             _agree(r, price_american(spec, 128, model=model))
-            assert r.meta["batched"] is True and r.meta["batch_size"] == 4
             if right is Right.PUT:
                 assert r.meta["symmetric_dual_of"] == spec.with_style(
                     Style.AMERICAN
@@ -138,8 +132,6 @@ class TestBSMModel:
         specs = self._puts()
         engine = AdvanceEngine()
         results = price_many(specs, 200, model="bsm-fd", engine=engine)
-        info = engine.cache_info()
-        assert info["batched_inputs"] > info["advances"]  # rounds ran wide
         for spec, r in zip(specs, results):
             _agree(r, price_american(spec, 200, model="bsm-fd"))
 
@@ -148,68 +140,34 @@ class TestBSMModel:
         results = price_many(specs, 200, model="bsm-fd")
         for spec, r in zip(specs, results):
             _agree(r, price_european(spec, 200, model="bsm-fd"))
-            assert r.meta["batched"] is True
+            assert r.meta["style"] == "european"
 
     def test_solver_level_batch_is_bit_identical(self):
-        params = [
-            BSMGridParams.from_spec(s.with_style(Style.AMERICAN), 300)
-            for s in self._puts()
-        ]
-        serial = [solve_bsm_fft(p) for p in params]
-        batch = solve_bsm_fft_batch(params)
-        assert [b.price for b in batch] == [s.price for s in serial]
+        specs = [s.with_style(Style.AMERICAN) for s in self._puts()]
+        lone = [solve_bsm_fft(BSMGridParams.from_spec(s, 300)) for s in specs]
+        batch = price_many(specs, 300, model="bsm-fd")
+        assert [b.price for b in batch] == [s.price for s in lone]
+        assert [b.stats for b in batch] == [s.stats.as_dict() for s in lone]
+
+
+def _shared_engine_solves(plist, **kwargs):
+    """Lone solves one after another on one engine, as ``price_many`` runs
+    them; ``record_boundary`` and other solver options pass through."""
+    engine = AdvanceEngine()
+    return [solve_tree_fft(p, engine=engine, **kwargs) for p in plist]
 
 
 class TestSolverLevelTreeBatch:
     def test_bit_identical_and_boundary_matches(self):
-        params = [
-            BinomialParams.from_spec(
-                dataclasses.replace(SPEC, volatility=v), 500
-            )
-            for v in (0.18, 0.25, 0.33)
-        ]
+        specs = [dataclasses.replace(SPEC, volatility=v) for v in (0.18, 0.25, 0.33)]
+        params = [BinomialParams.from_spec(s, 500) for s in specs]
         serial = [solve_tree_fft(p, record_boundary=True) for p in params]
-        batch = solve_tree_fft_batch(params, record_boundary=True)
+        batch = price_many(specs, 500)
         assert [b.price for b in batch] == [s.price for s in serial]
-        for s, b in zip(serial, batch):
+        assert [b.stats for b in batch] == [s.stats.as_dict() for s in serial]
+        shared = _shared_engine_solves(params, record_boundary=True)
+        for s, b in zip(serial, shared):
             assert b.boundary.points == s.boundary.points
-
-    def test_mixed_step_counts_desynchronise_cleanly(self):
-        p_short = BinomialParams.from_spec(SPEC, 200)
-        p_long = BinomialParams.from_spec(SPEC, 700)
-        batch = solve_tree_fft_batch([p_short, p_long])
-        assert batch[0].price == solve_tree_fft(p_short).price
-        assert batch[1].price == solve_tree_fft(p_long).price
-
-
-class TestGridRouting:
-    def test_heterogeneous_grid_routes_through_advance_batch(self):
-        """A vol/rate grid (no two cells share a kernel) must still batch."""
-        rng = np.random.default_rng(0)
-        specs = [
-            dataclasses.replace(
-                SPEC,
-                volatility=float(v),
-                rate=float(r),
-                style=style,
-            )
-            for v, r, style in zip(
-                rng.uniform(0.12, 0.45, size=24),
-                rng.uniform(0.0, 0.08, size=24),
-                [Style.AMERICAN, Style.EUROPEAN] * 12,
-            )
-        ]
-        engine = AdvanceEngine()
-        results = price_many(specs, 96, engine=engine)
-        info = engine.cache_info()
-        assert info["batched_inputs"] > info["advances"]  # rounds ran wide
-        for spec, r in zip(specs, results):
-            ref = (
-                price_european(spec, 96)
-                if spec.style is Style.EUROPEAN
-                else price_american(spec, 96)
-            )
-            _agree(r, ref)
 
 
 class TestOneContractPathIdentity:
@@ -257,8 +215,9 @@ class TestOneContractPathIdentity:
 class TestBatchedStatsEqualLoneStats:
     """A contract's ``stats`` do not depend on the batch it rides in: every
     counter of a B > 1 ``price_many`` result equals its lone
-    ``price_american`` twin's.  The contracts are distinct — a duplicate
-    shares kernel spectra with its twin, so its cache counters differ."""
+    ``price_american`` twin's.  The contracts are distinct — a contract on
+    the same lattice as an earlier one reuses its kernel spectra, so its
+    cache counters differ."""
 
     @pytest.mark.parametrize(
         "model, right",
@@ -282,13 +241,13 @@ class TestBatchedStatsEqualLoneStats:
         batch = price_many(specs, 96, model=model)
         for spec, b in zip(specs, batch):
             lone = price_american(spec, 96, model=model)
-            assert b.meta["batch_size"] == 4
             assert b.price == lone.price
             assert b.stats == lone.stats
 
 
 class TestLockstepBitIdentity:
-    """Lockstep batching never changes a solve: strict ``==``, no tolerance."""
+    """A batch never changes a solve: ``price_many`` results equal the lone
+    solvers' with strict ``==``, no tolerance."""
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -296,14 +255,12 @@ class TestLockstepBitIdentity:
         model=st.sampled_from([BinomialParams, TrinomialParams]),
     )
     def test_tree_batches_bit_identical(self, specs, model):
-        plist = [model.from_spec(s, 48) for s in specs]
-        engine = AdvanceEngine()
-        batch = solve_tree_fft_batch(plist, engine=engine)
-        for p, b in zip(plist, batch):
-            s = solve_tree_fft(p)
+        name = "binomial" if model is BinomialParams else "trinomial"
+        batch = price_many(specs, 48, model=name, engine=AdvanceEngine())
+        for spec, b in zip(specs, batch):
+            s = solve_tree_fft(model.from_spec(spec, 48))
             assert b.price == s.price  # bitwise, not approx
-            assert b.stats.base_rows == s.stats.base_rows
-            assert b.meta["batched"] is True
+            assert b.stats["base_rows"] == s.stats.base_rows
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -318,37 +275,41 @@ class TestLockstepBitIdentity:
             )
             for v in vols
         ]
-        plist = [BSMGridParams.from_spec(s, 48) for s in specs]
-        batch = solve_bsm_fft_batch(plist)
-        for p, b in zip(plist, batch):
-            s = solve_bsm_fft(p)
+        batch = price_many(specs, 48, model="bsm-fd")
+        for spec, b in zip(specs, batch):
+            s = solve_bsm_fft(BSMGridParams.from_spec(spec, 48))
             assert b.price == s.price
-            assert b.meta["batched"] is True
+            assert b.stats == s.stats.as_dict()
 
     def test_mixed_tree_and_fd_rows_share_one_engine(self):
         """Tree and FD batches run through the same engine in one session
         and both stay bit-identical to their lone solves."""
         engine = AdvanceEngine()
-        tp = [BinomialParams.from_spec(_call_spec(k, 0.3, 0.04, 0.02), 48)
-              for k in (90.0, 110.0)]
-        fp = [BSMGridParams.from_spec(
+        ts = [_call_spec(k, 0.3, 0.04, 0.02) for k in (90.0, 110.0)]
+        fs = [
             dataclasses.replace(
                 SPEC, right=Right.PUT, dividend_yield=0.0, volatility=v
-            ), 48)
-            for v in (0.2, 0.35)]
-        tb = solve_tree_fft_batch(tp, engine=engine)
-        fb = solve_bsm_fft_batch(fp, engine=engine)
-        assert [r.price for r in tb] == [solve_tree_fft(p).price for p in tp]
-        assert [r.price for r in fb] == [solve_bsm_fft(p).price for p in fp]
+            )
+            for v in (0.2, 0.35)
+        ]
+        tb = price_many(ts, 48, engine=engine)
+        fb = price_many(fs, 48, model="bsm-fd", engine=engine)
+        assert [r.price for r in tb] == [
+            solve_tree_fft(BinomialParams.from_spec(s, 48)).price for s in ts
+        ]
+        assert [r.price for r in fb] == [
+            solve_bsm_fft(BSMGridParams.from_spec(s, 48)).price for s in fs
+        ]
 
 
 class TestDividerSequences:
-    """A batched solve reproduces its lone twin's boundary exactly."""
+    """A solve on a shared engine reproduces its lone twin's boundary
+    exactly."""
 
     def test_paper_spec_boundary_pins(self):
         p = BinomialParams.from_spec(SPEC, 64)
         serial = solve_tree_fft(p, record_boundary=True)
-        batch, other = solve_tree_fft_batch(
+        batch, other = _shared_engine_solves(
             [p, BinomialParams.from_spec(_strike(120.0), 64)],
             record_boundary=True,
         )
@@ -368,7 +329,7 @@ class TestDividerSequences:
     def test_heterogeneous_boundaries_batch_equals_serial(self, strikes):
         plist = [BinomialParams.from_spec(_strike(k), 96)
                  for k in strikes]
-        batch = solve_tree_fft_batch(plist, record_boundary=True)
+        batch = _shared_engine_solves(plist, record_boundary=True)
         for p, b in zip(plist, batch):
             s = solve_tree_fft(p, record_boundary=True)
             assert b.boundary.points == s.boundary.points
@@ -379,32 +340,35 @@ class TestDividerSequences:
         contracts changes nothing."""
         deep = _call_spec(60.0, 0.15, 0.01, 0.08)
         plain = _call_spec(100.0, 0.3, 0.04, 0.02)
-        plist = [BinomialParams.from_spec(s, 64) for s in (deep, plain)]
-        batch = solve_tree_fft_batch(plist)
-        for p, b in zip(plist, batch):
-            s = solve_tree_fft(p)
+        batch = price_many([deep, plain], 64)
+        for spec, b in zip((deep, plain), batch):
+            s = solve_tree_fft(BinomialParams.from_spec(spec, 64))
             assert b.price == s.price
-            assert b.stats.base_rows == s.stats.base_rows
+            assert b.stats["base_rows"] == s.stats.base_rows
         assert batch[0].price == pytest.approx(
             deep.spot - deep.strike, rel=1e-10
         )
 
 
 class TestBermudanBatch:
+    """Bermudan jump chains on one shared engine equal their lone twins."""
+
     def test_shared_schedule_bit_identical(self):
         plist = [BinomialParams.from_spec(_strike(k), 64)
                  for k in (90.0, 100.0, 115.0)]
         schedule = (16, 32, 48)
-        batch = price_tree_bermudan_fft_batch(plist, schedule)
-        for p, b in zip(plist, batch):
+        engine = AdvanceEngine()
+        for p in plist:
+            b = price_tree_bermudan_fft(p, schedule, engine=engine)
             s = price_tree_bermudan_fft(p, schedule)
             assert b.price == s.price
-            assert b.meta["batched"] is True
+            assert b.workspan == s.workspan
 
     def test_per_contract_schedules_bit_identical(self):
         plist = [BinomialParams.from_spec(_strike(k), 64)
                  for k in (95.0, 110.0)]
         schedules = [(8, 24), (16, 32, 48)]
-        batch = price_tree_bermudan_fft_batch(plist, schedules)
-        for p, sched, b in zip(plist, schedules, batch):
+        engine = AdvanceEngine()
+        for p, sched in zip(plist, schedules):
+            b = price_tree_bermudan_fft(p, sched, engine=engine)
             assert b.price == price_tree_bermudan_fft(p, sched).price

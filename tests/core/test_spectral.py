@@ -92,6 +92,32 @@ class TestChebyshevPrimitives:
             2.0 ** 1.5 / 1.5, abs=1e-8
         )
 
+    @pytest.mark.parametrize("points, h", [(161, 0.08), (241, 0.06)])
+    def test_tanhsinh_fine_rules_drop_overflowed_nodes(self, points, h):
+        # at these settings cosh overflows in the far tails; the weights
+        # there are exactly 0, and the rule drops them without warning
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y, w = tanhsinh_nodes(points, h)
+        assert 0 < len(y) < points and len(w) == len(y)
+        assert np.all(np.isfinite(w)) and np.all(w > 0.0)
+        assert float(w @ np.exp(y)) == pytest.approx(
+            math.e - 1.0 / math.e, abs=1e-12
+        )
+
+    def test_tanhsinh_default_rule_unchanged(self):
+        # no weight of the default rule underflows, so it keeps every node
+        # and every bit of the closed-form rule
+        k = np.arange(-20, 21, dtype=np.float64)
+        s = 0.5 * np.pi * np.sinh(k * 0.25)
+        y, w = tanhsinh_nodes(41, 0.25)
+        np.testing.assert_array_equal(y, np.tanh(s))
+        np.testing.assert_array_equal(
+            w, 0.5 * np.pi * 0.25 * np.cosh(k * 0.25) / np.cosh(s) ** 2
+        )
+
 
 class TestSpectralPlan:
     def test_boundary_starts_at_cap_and_decreases(self):
@@ -130,7 +156,6 @@ class TestBackendContract:
         assert backend.tolerance == SPECTRAL_TOL
         assert not backend.supports_boundary
         assert not backend.supports_divider
-        assert not backend.supports_batching
         assert "spectral" in backend_names()
 
     def test_return_boundary_rejected(self):

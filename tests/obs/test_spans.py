@@ -24,7 +24,7 @@ class TestNesting:
         tr = Tracer(clock=clock)
         with tr.span("solve"):
             with tr.span("round"):
-                with tr.span("advance_batch"):
+                with tr.span("advance"):
                     clock.advance(1.0)
             with tr.span("round"):
                 clock.advance(2.0)
@@ -32,7 +32,7 @@ class TestNesting:
         assert root["name"] == "solve"
         names = [c["name"] for c in root["children"]]
         assert names == ["round", "round"]
-        assert root["children"][0]["children"][0]["name"] == "advance_batch"
+        assert root["children"][0]["children"][0]["name"] == "advance"
 
     def test_attributes_at_open_and_via_set(self):
         tr = Tracer(clock=FakeClock())
@@ -75,13 +75,13 @@ class TestBreakdown:
         tr = Tracer(clock=clock)
         with tr.span("solve"):
             clock.advance(1.0)  # solve self time
-            with tr.span("advance_batch"):
+            with tr.span("advance"):
                 clock.advance(3.0)
             clock.advance(0.5)  # more solve self time
         bd = tr.phase_breakdown()
         assert bd["solve"]["total_s"] == pytest.approx(4.5)
         assert bd["solve"]["self_s"] == pytest.approx(1.5)
-        assert bd["advance_batch"]["total_s"] == pytest.approx(3.0)
+        assert bd["advance"]["total_s"] == pytest.approx(3.0)
         # self times over all phases sum exactly to the root wall time
         total_self = sum(v["self_s"] for v in bd.values())
         assert total_self == pytest.approx(4.5)

@@ -221,7 +221,7 @@ class TestSerialIncidents:
         assert_journal_matches_rmeta(tel, rmeta)
 
     def test_deadline_preempts_a_whole_chunk(self, fake_clock, record_plan):
-        # lockstep solves finish together: the chunk holding the delayed
+        # a chunk is one price_many call: the chunk holding the delayed
         # cell times out whole, earlier chunks keep their bit-exact prices
         specs = strikes(8)
         clean = ScenarioEngine(backend="serial").price_grid(specs, 96)

@@ -186,8 +186,9 @@ class TestDeadlines:
 
     def test_serial_preemption_is_chunk_granular(self, fake_clock, baseline):
         specs, clean = baseline
-        # the delayed cell 3 shares chunk [2, 4) with cell 2: the lockstep
-        # solve is preempted whole, so the chunk times out together
+        # the delayed cell 3 shares chunk [2, 4) with cell 2: the chunk's
+        # one price_many call is preempted mid-solve and returns nothing,
+        # so the chunk times out together
         plan = FaultPlan(delays={3: 5.0}, sleep=fake_clock.advance, seed=15)
         deadline = Deadline(1.0, clock=fake_clock)
         eng = ScenarioEngine(backend="serial", chunk_size=2)

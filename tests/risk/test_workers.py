@@ -47,14 +47,17 @@ class TestSerialGridEngineMeta:
         grid = ScenarioGrid.cartesian(
             SPEC, vol_bumps=(-0.05, 0.0, 0.05), rate_bumps=(0.0, 0.002)
         )
-        # one chunk, so the cells share lockstep rounds on any host size
+        # one chunk, so the cells share one engine on any host size
         result = ScenarioEngine(
             backend="serial", chunk_size=len(grid)
         ).price_grid(grid, 64)
         info = result.meta["engine"]
-        # every cell differs in vol or rate, yet the grid rode the
-        # multi-kernel batch path
-        assert info["batched_inputs"] > info["advances"]
+        # the grid's one chunk ran every cell's advances on one engine
+        assert info["advances"] > 0
+        assert info["advances"] == sum(
+            r.stats["fft_calls"] + r.stats["direct_calls"]
+            for r in result.results
+        )
         for cell, r in zip(grid, result.results):
             assert r.price == pytest.approx(
                 price_american(cell.spec, 64).price, rel=1e-12
